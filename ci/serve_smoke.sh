@@ -8,12 +8,15 @@
 # All artifacts land under target/ci-artifacts/serve-smoke/ — never the
 # repository root.
 #
-# Three server sessions because evaluation is whole-program per request:
-#   1. the convergent Example 4.1 workload answers `complete`;
+# Three server sessions, one per way a workload is served:
+#   1. the convergent Example 4.1 workload answers `complete`, and a
+#      second query with `X-Itdb-Fuel: 1` still answers `complete` with
+#      the same deterministic part (a lookup over the model evaluated once);
 #   1b. the same workload with the flight recorder disabled (--flight 0)
 #       must answer byte-identically — the recorder observes, never
 #       participates;
-#   2. a diverging workload exercises per-request governor trips (the
+#   2. a diverging workload, which has no finite model and so evaluates
+#      per request, exercises per-request governor trips (the
 #      partial-result-loss regression), concurrent fuel isolation, and
 #      the full request-id diagnosis chain: the tripped request's id
 #      appears in its response, in the access log, in the slow-query
@@ -64,6 +67,22 @@ grep -q '"status":"complete"' "$ART/serve_query_complete.json"
 
 # Closed-form generalized tuples in the answers, not ground expansions.
 grep -q '168n' "$ART/serve_query_complete.json"
+
+# One read path: the first query evaluated the workload once and kept the
+# converged model, so a later query is a lookup over it. A fuel ceiling
+# has nothing left to govern: fuel 1 still answers `complete`, with the
+# same deterministic part as the first answer.
+curl -fsS -X POST -H 'X-Itdb-Fuel: 1' --data 'problems[t, t + 2](database)' \
+    "http://127.0.0.1:$PORT_A/query" > "$ART/serve_query_fuel1.json"
+grep -q '"status":"complete"' "$ART/serve_query_fuel1.json" || {
+    echo "FAIL: fuel 1 on the convergent workload did not answer complete" >&2
+    exit 1
+}
+diff <(sed 's/,"stats":.*//' "$ART/serve_query_complete.json") \
+     <(sed 's/,"stats":.*//' "$ART/serve_query_fuel1.json") || {
+    echo "FAIL: the lookup answered differently from the first query" >&2
+    exit 1
+}
 
 # Client-error paths answer with typed JSON errors, not 500s.
 test "$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$PORT_A/nope")" = 404

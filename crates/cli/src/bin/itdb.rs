@@ -7,7 +7,9 @@
 //!
 //! `serve` keeps one workload (tuples + rules, the declarative subset of
 //! the shell's script format) resident and answers `POST /query` requests
-//! against it, each evaluation under its own resource governor. `GET
+//! against it: the first query evaluates the workload once and later ones
+//! look answers up in the converged model; a workload that does not
+//! converge is evaluated per request, each under its own governor. `GET
 //! /healthz`, `GET /metrics` (Prometheus text), `GET /events` (live
 //! JSONL trace stream) and the `GET /debug/*` introspection endpoints
 //! ride along. Every request carries an `X-Itdb-Request-Id`; slow
@@ -30,10 +32,11 @@ usage: itdb serve --addr HOST:PORT [options] WORKLOAD
   --addr HOST:PORT  listen address, e.g. 127.0.0.1:7464 (required)
   --workers N       worker threads (default 8); /events streams run on
                     their own dedicated streamer threads
-  --fuel N          default derivation-fuel ceiling per /query request
-                    (overridable per request via the X-Itdb-Fuel header)
-  --timeout-ms N    default wall-clock deadline per /query request
-                    (overridable via the X-Itdb-Timeout-Ms header)
+  --fuel N          derivation-fuel ceiling for the one evaluation on the
+                    first /query, and the default per request where the
+                    workload does not converge (X-Itdb-Fuel overrides it)
+  --timeout-ms N    wall-clock deadline, applied likewise
+                    (X-Itdb-Timeout-Ms overrides it)
   --max-queued N    accepted connections held before answering 503 (default 64)
   --events-queue N  per-subscriber /events queue depth (default 1024)
   --queue-deadline-ms N

@@ -71,7 +71,9 @@ use crate::analyze::{analyze, ProgramInfo};
 use crate::ast::Program;
 use crate::checkpoint::{get_relations, get_tuple, hash_program, put_relations, put_tuple};
 use crate::db::Database;
-use crate::engine::{eval_clause, evaluate_with, Derivation, EvalOptions, EvalOutcome, Pending};
+use crate::engine::{
+    eval_clause, evaluate_with, Derivation, EvalOptions, EvalOutcome, Evaluation, Pending,
+};
 use crate::normalize::{normalize_program, NormClause};
 use itdb_lrp::{Error, GeneralizedRelation, GeneralizedTuple, Lrp, Result, Schema};
 use itdb_store::{ByteReader, ByteWriter, Section};
@@ -271,6 +273,18 @@ impl ResidentModel {
     /// be maintained incrementally and is refused.
     pub fn new(program: Program, edb: Database, opts: EvalOptions) -> Result<Self> {
         let eval = evaluate_with(&program, &edb, &opts)?;
+        Self::from_evaluation(program, edb, eval, opts)
+    }
+
+    /// Keeps an evaluation the caller already ran (under its own
+    /// governor) resident. `eval` must be `program` over `edb` under
+    /// `opts`; like [`Self::new`], a run that did not converge is refused.
+    pub fn from_evaluation(
+        program: Program,
+        edb: Database,
+        eval: Evaluation,
+        opts: EvalOptions,
+    ) -> Result<Self> {
         if !matches!(eval.outcome, EvalOutcome::Converged { .. }) {
             return Err(Error::Eval(format!(
                 "resident model requires a convergent workload, got: {:?}",
@@ -326,6 +340,11 @@ impl ResidentModel {
     /// The maintained intensional relations.
     pub fn idb(&self) -> &BTreeMap<String, GeneralizedRelation> {
         &self.idb
+    }
+
+    /// The evaluation options the model was built and is maintained under.
+    pub fn options(&self) -> &EvalOptions {
+        &self.opts
     }
 
     /// Lifetime counters.

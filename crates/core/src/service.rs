@@ -1,5 +1,5 @@
-//! Shared serving layer: a loaded program + EDB evaluated per request
-//! under per-request resource governors.
+//! Shared serving layer: a loaded program + EDB, evaluated once and
+//! answered from, or evaluated per request where no finite model exists.
 //!
 //! This is the model `itdb-serve` (and anything else that wants to answer
 //! many queries against one workload) builds on. A [`Workload`] is parsed
@@ -12,12 +12,27 @@
 //! rule problems[t1 + 2, t2 + 2](C) <- course[t1, t2](C).
 //! ```
 //!
-//! Each [`Service::run_query`] call evaluates the program bottom-up under
-//! its **own** [`Governor`] (fuel/deadline from the request, falling back
-//! to server defaults) and answers the query pattern against the computed
-//! model. Per-request isolation is exact: a trip in one request is
-//! invisible to every other, and with equal budgets the same query always
-//! produces byte-identical answers, concurrent or not.
+//! ## One read path
+//!
+//! The paper's least model has a finite closed form, so it is computed
+//! once, not re-derived per question. The first [`Service::run_query`]
+//! evaluates the program under the server defaults
+//! ([`ServiceDefaults`]) behind a `OnceLock`: concurrent first requests
+//! wait for that one evaluation instead of repeating it, and its events
+//! carry the first request's id. If it converges, the model is kept as a
+//! [`ResidentModel`] and every query — the first included — is a
+//! [`Service::lookup`] against it, whatever fuel or deadline the request
+//! brings. `Service::lookup` is also how ingest mode answers from its
+//! incrementally maintained model, so both serving modes share one
+//! lookup and one response shape.
+//!
+//! A workload whose one evaluation diverges or trips its governor has no
+//! model to keep. Its queries evaluate the program per request under
+//! their **own** [`Governor`] (fuel/deadline from the request, falling
+//! back to server defaults) and answer from the sound partial model. A
+//! trip in one request is invisible to every other, and with equal
+//! budgets the same query always produces byte-identical answers,
+//! concurrent or not.
 //!
 //! ## Statistics across a worker pool
 //!
@@ -28,25 +43,28 @@
 //! interleaved on one worker would mis-attribute each other's work if the
 //! scope weren't per-evaluation. The engine already scopes each
 //! evaluation's counters by snapshot subtraction *on the evaluating
-//! thread*; [`Service`] completes the story by folding every request's
-//! [`EvalStats`] into a mutex-guarded aggregate with
-//! [`EvalStats::absorb`]. The regression test
+//! thread*; [`Service`] completes the story by folding every
+//! evaluation's [`EvalStats`] — the one-time evaluation exactly once,
+//! then each per-request one — into a mutex-guarded aggregate with
+//! [`EvalStats::absorb`]. Lookups derive nothing and fold no engine
+//! work, but each counts as a query. The regression test
 //! `pooled_workers_fold_stats_exactly` pins both halves down.
 
 // User-reachable serving path: failures must flow through the error
 // taxonomy, never panic.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::ast::Program;
+use crate::ast::{Atom, Program};
 use crate::db::Database;
-use crate::engine::{evaluate_governed, EvalOptions, EvalOutcome, EvalStats};
+use crate::engine::{evaluate_governed, EvalOptions, EvalOutcome, EvalStats, Evaluation};
 use crate::parser::{parse_atom, parse_clause};
 use crate::query::query;
+use crate::resident::ResidentModel;
 use itdb_lrp::{
     parser as lrp_parser, Error, GeneralizedRelation, Governor, Result, Schema, TripReason,
 };
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// A parsed serving workload: the deductive program and its extensional
@@ -196,13 +214,13 @@ pub fn parse_workload_typed(text: &str) -> std::result::Result<Workload, Workloa
     Ok(Workload { program, edb })
 }
 
-/// Server-side default resource ceilings, applied when a request does not
-/// bring its own.
+/// Server-side default resource ceilings: they govern the one-time
+/// evaluation, and per-request evaluations that bring none of their own.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceDefaults {
-    /// Default derivation fuel per request (`None` = unlimited).
+    /// Default derivation fuel (`None` = unlimited).
     pub fuel: Option<u64>,
-    /// Default wall-clock deadline per request (`None` = unlimited).
+    /// Default wall-clock deadline (`None` = unlimited).
     pub timeout: Option<Duration>,
 }
 
@@ -211,9 +229,10 @@ pub struct ServiceDefaults {
 pub struct QueryRequest {
     /// The atom pattern, e.g. `problems[t, t + 2](database)`.
     pub pattern: String,
-    /// Derivation-fuel override for this request.
+    /// Derivation-fuel override for this request (ignored once the
+    /// workload has a converged model to look answers up in).
     pub fuel: Option<u64>,
-    /// Deadline override for this request.
+    /// Deadline override for this request (ignored likewise).
     pub timeout: Option<Duration>,
     /// Request id installed as the thread's trace context for the
     /// evaluation (see `itdb_trace::context`) and echoed in the response.
@@ -244,8 +263,8 @@ pub struct QueryResponse {
     /// Generalized answer tuples in the textual closed form, one per
     /// tuple, in the deterministic order of the computed relation.
     pub answers: Vec<String>,
-    /// This request's evaluation statistics (already folded into the
-    /// service aggregate).
+    /// Statistics of the evaluation this request ran (already folded
+    /// into the service aggregate); all zero for a lookup that ran none.
     pub stats: EvalStats,
     /// The request id this answer belongs to (echoed from the request).
     pub request_id: Option<String>,
@@ -299,7 +318,7 @@ pub struct ServiceTotals {
     pub queries: u64,
     /// Queries whose evaluation was interrupted by the governor.
     pub interrupted: u64,
-    /// Folded per-request evaluation statistics. `strata` stays empty —
+    /// Folded evaluation statistics. `strata` stays empty —
     /// per-stratum timing is a per-evaluation notion, not a fleet one.
     pub stats: EvalStats,
 }
@@ -310,15 +329,20 @@ pub struct Service {
     workload: Workload,
     defaults: ServiceDefaults,
     totals: Mutex<ServiceTotals>,
+    /// The one-time evaluation: `Some` once it converged, `None` if it
+    /// diverged, tripped or failed (per-request evaluation from then on).
+    model: OnceLock<Option<ResidentModel>>,
 }
 
 impl Service {
-    /// Wraps a workload with serving defaults.
+    /// Wraps a workload with serving defaults. Nothing is evaluated until
+    /// the first query.
     pub fn new(workload: Workload, defaults: ServiceDefaults) -> Self {
         Service {
             workload,
             defaults,
             totals: Mutex::new(ServiceTotals::default()),
+            model: OnceLock::new(),
         }
     }
 
@@ -340,18 +364,22 @@ impl Service {
         self.totals.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Answers one query: evaluate the program under a fresh per-request
-    /// governor, then run the pattern against the computed (or partial)
-    /// model. Extensional predicates are served straight from the EDB.
+    /// Answers one query: a lookup against the model evaluated once (see
+    /// the module docs), or, for a workload that does not converge, a
+    /// fresh evaluation under a per-request governor. Extensional
+    /// predicates are served straight from the EDB.
     pub fn run_query(&self, req: &QueryRequest) -> Result<QueryResponse> {
         self.run_query_observed(req, |_| {})
     }
 
-    /// [`Self::run_query`], additionally handing the per-request
-    /// [`Governor`] to `observe` before evaluation starts. The serve
+    /// [`Self::run_query`], additionally handing `observe` every
+    /// [`Governor`] an evaluation for this request runs under, before it
+    /// starts: the one-time evaluation if this request triggers it, and
+    /// the per-request one if the workload does not converge. The serve
     /// layer uses this to publish the governor in its in-flight request
     /// table — `GovernorStats` is all atomics, so `/debug/requests` can
-    /// read fuel spent from another thread while the evaluation runs.
+    /// read fuel spent from another thread while the evaluation runs. A
+    /// lookup runs no evaluation and calls `observe` never.
     ///
     /// If the request carries an id, it is installed as the thread's
     /// trace context for the duration, so every event the evaluation
@@ -360,51 +388,159 @@ impl Service {
     pub fn run_query_observed(
         &self,
         req: &QueryRequest,
-        observe: impl FnOnce(&Arc<Governor>),
+        mut observe: impl FnMut(&Arc<Governor>),
     ) -> Result<QueryResponse> {
         let _ctx = req
             .request_id
             .as_deref()
             .map(itdb_trace::context::set_request_id);
         let atom = parse_atom(&req.pattern)?;
-        let opts = EvalOptions {
-            max_derived_tuples: req.fuel.or(self.defaults.fuel),
-            timeout: req.timeout.or(self.defaults.timeout),
-            ..EvalOptions::default()
+        let defaults = self.options(None, None);
+        // What this call's own run of the one-time evaluation produced:
+        // its stats if it converged, the whole evaluation if it did not.
+        let mut ran_stats = None;
+        let mut unconverged = None;
+        let model = self.model.get_or_init(|| {
+            let eval = self.evaluate(&defaults, &mut observe);
+            match eval {
+                Ok(eval) if matches!(eval.outcome, EvalOutcome::Converged { .. }) => {
+                    ran_stats = Some(eval.stats.clone());
+                    let w = &self.workload;
+                    let kept = ResidentModel::from_evaluation(
+                        w.program.clone(),
+                        w.edb.clone(),
+                        eval,
+                        defaults.clone(),
+                    );
+                    kept.map_err(|e| unconverged = Some(Err(e))).ok()
+                }
+                other => {
+                    unconverged = Some(other);
+                    None
+                }
+            }
+        });
+        if let Some(model) = model {
+            return self.look_up(model, &atom, ran_stats.unwrap_or_default(), req);
+        }
+        let opts = self.options(req.fuel, req.timeout);
+        let eval = match unconverged {
+            // The one-time evaluation ran under exactly this request's
+            // budget: it is this request's evaluation.
+            Some(eval)
+                if opts.max_derived_tuples == defaults.max_derived_tuples
+                    && opts.timeout == defaults.timeout =>
+            {
+                eval?
+            }
+            _ => self.evaluate(&opts, &mut observe)?,
         };
-        let governor = Governor::new(opts.governor_config());
-        observe(&governor);
-        let eval = evaluate_governed(&self.workload.program, &self.workload.edb, &opts, &governor)?;
-        let rel = match eval.relation(&atom.pred) {
-            Some(r) => r,
-            None => self.workload.edb.get(&atom.pred).ok_or_else(|| {
-                Error::Eval(format!(
-                    "unknown predicate `{}` (neither derived nor extensional)",
-                    atom.pred
-                ))
-            })?,
-        };
-        let answers_rel = query(rel, &atom, opts.residue_budget)?;
-        let answers: Vec<String> = answers_rel.tuples().iter().map(|t| t.to_string()).collect();
         let status = match &eval.outcome {
             EvalOutcome::Converged { .. } => QueryStatus::Complete,
             EvalOutcome::DivergedAfterFeSafety { .. } => QueryStatus::Diverged,
             EvalOutcome::Interrupted(i) => QueryStatus::Interrupted(i.reason.clone()),
         };
-        // The explicit cross-thread fold — see the module docs.
+        let rel = eval
+            .relation(&atom.pred)
+            .or_else(|| self.workload.edb.get(&atom.pred));
+        self.answer(
+            rel,
+            &atom,
+            opts.residue_budget,
+            status,
+            eval.stats.clone(),
+            req,
+        )
+    }
+
+    /// Answers `req` by lookup against `model` — `query()` over its
+    /// relations, no evaluation and no governor. This is the read path
+    /// for both the model [`Self::run_query`] evaluates once and ingest
+    /// mode's incrementally maintained one; the lookup counts as a query
+    /// in the totals and its events carry the request's id.
+    pub fn lookup(&self, model: &ResidentModel, req: &QueryRequest) -> Result<QueryResponse> {
+        let _ctx = req
+            .request_id
+            .as_deref()
+            .map(itdb_trace::context::set_request_id);
+        let atom = parse_atom(&req.pattern)?;
+        self.look_up(model, &atom, EvalStats::default(), req)
+    }
+
+    /// [`Self::lookup`] of a parsed pattern, reporting `stats` as the
+    /// evaluation this request ran (if any).
+    fn look_up(
+        &self,
+        model: &ResidentModel,
+        atom: &Atom,
+        stats: EvalStats,
+        req: &QueryRequest,
+    ) -> Result<QueryResponse> {
+        let rel = model.relation(&atom.pred);
+        let budget = model.options().residue_budget;
+        self.answer(rel, atom, budget, QueryStatus::Complete, stats, req)
+    }
+
+    /// Evaluation options for the given ceilings, falling back to the
+    /// server defaults; everything else at the engine defaults
+    /// (provenance and coalescing off).
+    fn options(&self, fuel: Option<u64>, timeout: Option<Duration>) -> EvalOptions {
+        EvalOptions {
+            max_derived_tuples: fuel.or(self.defaults.fuel),
+            timeout: timeout.or(self.defaults.timeout),
+            ..EvalOptions::default()
+        }
+    }
+
+    /// Evaluates the workload under a fresh governor built from `opts`
+    /// and folds the run's stats into the totals (the explicit
+    /// cross-thread fold — see the module docs).
+    fn evaluate(
+        &self,
+        opts: &EvalOptions,
+        observe: &mut impl FnMut(&Arc<Governor>),
+    ) -> Result<Evaluation> {
+        let governor = Governor::new(opts.governor_config());
+        observe(&governor);
+        let eval = evaluate_governed(&self.workload.program, &self.workload.edb, opts, &governor)?;
+        self.lock_totals().stats.absorb(&eval.stats);
+        Ok(eval)
+    }
+
+    /// Runs the pattern against the relation answering its predicate and
+    /// counts the query.
+    fn answer(
+        &self,
+        rel: Option<&GeneralizedRelation>,
+        atom: &Atom,
+        residue_budget: u64,
+        status: QueryStatus,
+        stats: EvalStats,
+        req: &QueryRequest,
+    ) -> Result<QueryResponse> {
+        let rel = rel.ok_or_else(|| {
+            Error::Eval(format!(
+                "unknown predicate `{}` (neither derived nor extensional)",
+                atom.pred
+            ))
+        })?;
+        let answers_rel = {
+            let _span = itdb_trace::span(itdb_trace::SpanKind::Op, "query.lookup");
+            query(rel, atom, residue_budget)?
+        };
+        let answers: Vec<String> = answers_rel.tuples().iter().map(|t| t.to_string()).collect();
         {
             let mut totals = self.lock_totals();
             totals.queries += 1;
             if matches!(status, QueryStatus::Interrupted(_)) {
                 totals.interrupted += 1;
             }
-            totals.stats.absorb(&eval.stats);
         }
         Ok(QueryResponse {
             pred: atom.pred.clone(),
             status,
             answers,
-            stats: eval.stats,
+            stats,
             request_id: req.request_id.clone(),
         })
     }
@@ -426,6 +562,7 @@ impl Service {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::engine::evaluate_with;
 
     const WORKLOAD: &str = "\
         # Example 4.1, serving edition.\n\
@@ -582,9 +719,9 @@ mod tests {
     /// instead of wedging `/metrics` with defaults forever.
     #[test]
     fn poisoned_totals_recover_instead_of_wedging() {
-        let s = std::sync::Arc::new(service(WORKLOAD));
-        s.run_query(&req("problems[t, t + 2](database)", None))
-            .unwrap();
+        // DIVERGING: every query evaluates, so each one folds new stats.
+        let s = std::sync::Arc::new(service(DIVERGING));
+        s.run_query(&req("p[t]", None)).unwrap();
         let before = s.totals();
         assert_eq!(before.queries, 1);
         // Poison the mutex: panic while holding the guard.
@@ -598,8 +735,7 @@ mod tests {
         // Reads still see the true aggregate …
         assert_eq!(s.totals().queries, 1);
         // … and new requests still fold into it.
-        s.run_query(&req("problems[t, t + 2](database)", None))
-            .unwrap();
+        s.run_query(&req("p[t]", None)).unwrap();
         let after = s.totals();
         assert_eq!(after.queries, 2);
         assert!(after.stats.tuples_derived > before.stats.tuples_derived);
@@ -610,18 +746,16 @@ mod tests {
 
     /// The tentpole regression: N pooled workers answer queries; the
     /// coordinator's thread-local counters see nothing, while the folded
-    /// aggregate equals the sum of the per-request stats exactly.
+    /// aggregate equals the sum of the per-request stats exactly. On
+    /// DIVERGING, the workload that still evaluates per request.
     #[test]
     fn pooled_workers_fold_stats_exactly() {
-        let s = std::sync::Arc::new(service(WORKLOAD));
+        let s = std::sync::Arc::new(service(DIVERGING));
         let coordinator_before = itdb_lrp::stats::snapshot();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let s = std::sync::Arc::clone(&s);
-                std::thread::spawn(move || {
-                    s.run_query(&req("problems[t, t + 2](database)", None))
-                        .map(|r| r.stats)
-                })
+                std::thread::spawn(move || s.run_query(&req("p[t]", None)).map(|r| r.stats))
             })
             .collect();
         let mut expected = EvalStats::default();
@@ -644,5 +778,126 @@ mod tests {
         assert_eq!(totals.stats.counters, expected.counters);
         assert_eq!(totals.stats.tuples_derived, expected.tuples_derived);
         assert_eq!(totals.stats.tuples_inserted, expected.tuples_inserted);
+    }
+
+    /// The one read path: N concurrent first queries on a converging
+    /// workload share one evaluation. Its stats are folded once, equal to
+    /// a standalone `evaluate_with` run's, and every query is counted.
+    #[test]
+    fn concurrent_first_queries_evaluate_once() {
+        const N: usize = 6;
+        let s = std::sync::Arc::new(service(WORKLOAD));
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(N));
+        let handles: Vec<_> = (0..N)
+            .map(|_| {
+                let (s, barrier) = (Arc::clone(&s), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    s.run_query(&req("problems[t, t + 2](database)", None))
+                })
+            })
+            .collect();
+        let mut evaluated = 0;
+        for h in handles {
+            let resp = h.join().unwrap().unwrap();
+            assert_eq!(resp.status, QueryStatus::Complete);
+            evaluated += usize::from(resp.stats.tuples_derived > 0);
+        }
+        assert_eq!(evaluated, 1, "exactly one request ran the evaluation");
+        // The reference run on a fresh thread: the lrp counters are
+        // thread-local, and the pool's threads all started cold too.
+        let w = parse_workload(WORKLOAD).unwrap();
+        let once = std::thread::spawn(move || {
+            evaluate_with(&w.program, &w.edb, &EvalOptions::default()).map(|e| e.stats)
+        })
+        .join()
+        .unwrap()
+        .unwrap();
+        let totals = s.totals();
+        assert_eq!(totals.queries, N as u64);
+        assert_eq!(totals.interrupted, 0);
+        assert_eq!(totals.stats.tuples_derived, once.tuples_derived);
+        assert_eq!(totals.stats.tuples_inserted, once.tuples_inserted);
+        assert_eq!(totals.stats.tuples_subsumed, once.tuples_subsumed);
+        assert_eq!(totals.stats.counters, once.counters);
+        // Later queries are lookups: counted, but fold no engine work.
+        let later = s.run_query(&req("course[t1, t2](C)", None)).unwrap();
+        assert_eq!(later.stats.tuples_derived, 0);
+        let after = s.totals();
+        assert_eq!(after.queries, N as u64 + 1);
+        assert_eq!(after.stats.tuples_derived, once.tuples_derived);
+    }
+
+    /// Lookups answer byte for byte what `evaluate_with` + `query` answer,
+    /// up to `stats`: IDB patterns, EDB patterns and bound-data patterns.
+    #[test]
+    fn lookups_match_evaluate_then_query_byte_for_byte() {
+        let s = service(WORKLOAD);
+        let w = parse_workload(WORKLOAD).unwrap();
+        let opts = EvalOptions::default();
+        let eval = evaluate_with(&w.program, &w.edb, &opts).unwrap();
+        let patterns = [
+            "problems[t1, t2](C)",
+            "problems[t, t + 2](database)",
+            "problems[t1, t2](logic)",
+            "course[t1, t2](C)",
+            "course[t1, t2](database)",
+        ];
+        for pattern in patterns {
+            let got = s.run_query(&req(pattern, None)).unwrap();
+            let atom = parse_atom(pattern).unwrap();
+            let rel = eval
+                .relation(&atom.pred)
+                .or_else(|| w.edb.get(&atom.pred))
+                .unwrap();
+            let want = QueryResponse {
+                pred: atom.pred.clone(),
+                status: QueryStatus::Complete,
+                answers: query(rel, &atom, opts.residue_budget)
+                    .unwrap()
+                    .tuples()
+                    .iter()
+                    .map(|t| t.to_string())
+                    .collect(),
+                stats: EvalStats::default(),
+                request_id: None,
+            };
+            let prefix = |r: &QueryResponse| {
+                let json = r.to_json();
+                json.split(",\"stats\":").next().unwrap().to_string()
+            };
+            assert_eq!(prefix(&got), prefix(&want), "{pattern}");
+        }
+    }
+
+    /// Once the workload has a converged model, a request's fuel ceiling
+    /// has nothing left to govern: even fuel 1 answers `complete`.
+    #[test]
+    fn starved_fuel_on_a_converging_workload_answers_complete() {
+        let s = service(WORKLOAD);
+        let first = s.run_query(&req("problems[t, t + 2](database)", Some(1)));
+        let again = s.run_query(&req("problems[t, t + 2](database)", Some(1)));
+        for resp in [first.unwrap(), again.unwrap()] {
+            assert_eq!(resp.status, QueryStatus::Complete);
+            assert!(!resp.answers.is_empty());
+        }
+        assert_eq!(s.totals().interrupted, 0);
+    }
+
+    /// Ingest mode's resident model and the one-time model answer through
+    /// the same lookup with the same bytes.
+    #[test]
+    fn lookup_on_a_resident_model_matches_run_query() {
+        let s = service(WORKLOAD);
+        let w = parse_workload(WORKLOAD).unwrap();
+        let model = ResidentModel::new(w.program, w.edb, EvalOptions::default()).unwrap();
+        let r = req("problems[t, t + 2](database)", None);
+        let looked_up = s.lookup(&model, &r).unwrap();
+        let served = s.run_query(&r).unwrap();
+        let prefix =
+            |r: &QueryResponse| r.to_json().split(",\"stats\":").next().unwrap().to_string();
+        assert_eq!(prefix(&looked_up), prefix(&served));
+        assert!(s.lookup(&model, &req("nope[t]", None)).is_err());
+        assert_eq!(s.totals().queries, 2, "lookups count as queries");
     }
 }

@@ -283,6 +283,11 @@ pub fn write_response(
 
 /// Writes one complete response, choosing the `Connection` disposition and
 /// appending `extra` headers (e.g. `Retry-After`) verbatim.
+///
+/// The head and body are assembled first and handed to the socket in one
+/// `write_all`. Separate small writes would leave the body waiting behind
+/// Nagle's algorithm for the client's delayed ACK, about 40 ms per
+/// keep-alive response.
 pub fn write_response_with(
     w: &mut impl Write,
     status: u16,
@@ -292,38 +297,43 @@ pub fn write_response_with(
     extra: &[(&str, &str)],
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut out = Vec::with_capacity(128 + body.len());
     write!(
-        w,
+        out,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         reason(status),
         body.len()
     )?;
     for (name, value) in extra {
-        write!(w, "{name}: {value}\r\n")?;
+        write!(out, "{name}: {value}\r\n")?;
     }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    w.write_all(&out)?;
     w.flush()
 }
 
 /// Writes the header block starting a chunked (streaming) response.
 pub fn start_chunked(w: &mut impl Write, status: u16, content_type: &str) -> io::Result<()> {
-    write!(
-        w,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
         reason(status)
-    )?;
+    );
+    w.write_all(head.as_bytes())?;
     w.flush()
 }
 
-/// Writes one chunk of a chunked response.
+/// Writes one chunk of a chunked response, size line and payload in one
+/// write.
 pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")?;
+    let mut out = Vec::with_capacity(data.len() + 12);
+    write!(out, "{:x}\r\n", data.len())?;
+    out.extend_from_slice(data);
+    out.extend_from_slice(b"\r\n");
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -430,6 +440,48 @@ mod tests {
         write_response_with(&mut out, 200, "text/plain", b"ok\n", true, &[]).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+    }
+
+    /// A `Write` that accepts everything and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Each response and each chunk reaches the socket in exactly one
+    /// `write`: several small writes stall behind Nagle's algorithm.
+    #[test]
+    fn each_response_and_chunk_is_one_write() {
+        let mut w = CountingWriter::default();
+        let extra = [("X-Itdb-Request-Id", "r1"), ("Retry-After", "2")];
+        write_response_with(&mut w, 200, "application/json", b"{}", true, &extra).unwrap();
+        assert_eq!(w.writes, 1);
+        assert!(w.bytes.ends_with(b"Retry-After: 2\r\n\r\n{}"));
+
+        let mut w = CountingWriter::default();
+        write_response(&mut w, 404, "text/plain", b"").unwrap();
+        assert_eq!(w.writes, 1);
+
+        let mut w = CountingWriter::default();
+        start_chunked(&mut w, 200, "application/jsonl").unwrap();
+        assert_eq!(w.writes, 1);
+        write_chunk(&mut w, b"{\"a\":1}\n").unwrap();
+        assert_eq!(w.writes, 2);
+        finish_chunked(&mut w).unwrap();
+        assert_eq!(w.writes, 3);
     }
 
     #[test]

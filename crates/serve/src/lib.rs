@@ -3,13 +3,15 @@
 //! A zero-dependency HTTP/1.1 server (hand-rolled over
 //! `std::net::TcpListener`, since the workspace builds offline) that keeps
 //! one parsed workload resident and answers queries against it
-//! repeatedly, each under its **own** resource governor:
+//! repeatedly: by lookup over its model, evaluated once on the first
+//! query, or — for a workload that does not converge — by a per-request
+//! evaluation under the request's **own** resource governor:
 //!
 //! | Endpoint        | What it does                                          |
 //! |-----------------|-------------------------------------------------------|
 //! | `GET /healthz`  | liveness probe, `200 ok`                              |
 //! | `GET /metrics`  | Prometheus text: engine counters + HTTP families      |
-//! | `POST /query`   | body = query pattern; `X-Itdb-Fuel` / `X-Itdb-Timeout-Ms` headers override the server's default ceilings; `X-Itdb-Request-Id` honored or generated, echoed in JSON and headers; JSON answer with status `complete` / `diverged` / `interrupted` |
+//! | `POST /query`   | body = query pattern; `X-Itdb-Fuel` / `X-Itdb-Timeout-Ms` headers override the server's default ceilings where a request evaluates; `X-Itdb-Request-Id` honored or generated, echoed in JSON and headers; JSON answer with status `complete` / `diverged` / `interrupted` |
 //! | `GET /events`   | live JSONL stream of trace events (chunked), bounded per-client queues, served by dedicated streamer threads |
 //! | `GET /debug/flight` | flight-recorder snapshot: live per-thread event rings + dumps retained from trips/panics/sheds |
 //! | `GET /debug/profile` | per-route span-profile aggregates |
@@ -17,7 +19,8 @@
 //!
 //! The interesting invariants live in [`server`]'s module docs: fan-out
 //! sinks are installed per worker thread (the trace registry is
-//! thread-local), per-request governors isolate trips, and evaluation
+//! thread-local), `/query` has one read path, per-request governors
+//! isolate trips where a workload does not converge, and evaluation
 //! statistics are folded into the aggregate explicitly rather than read
 //! from thread-local counters at `/metrics` render time.
 //!

@@ -3,13 +3,14 @@
 //!
 //! ## Concurrency model
 //!
-//! One acceptor thread hands sockets to a bounded queue drained by
-//! `workers` threads; when the queue is full the acceptor answers `503`
-//! immediately instead of letting connections pile up. Each worker
-//! installs the shared [`FanoutSink`] on its **own** thread — the trace
-//! registry is thread-local, so installation from the acceptor would
-//! observe nothing — which is how `/events` subscribers see the typed
-//! events of evaluations running on any worker. `GET /events` itself is
+//! One acceptor thread, blocked in `accept`, hands sockets to a bounded
+//! queue drained by `workers` threads; when the queue is full the
+//! acceptor answers `503` immediately instead of letting connections
+//! pile up. Each response goes out in one write (see [`http`]). Each
+//! worker installs the shared [`FanoutSink`] on its **own** thread — the
+//! trace registry is thread-local, so installation from the acceptor
+//! would observe nothing — which is how `/events` subscribers see the
+//! typed events of evaluations running on any worker. `GET /events` itself is
 //! handed off to a **dedicated streamer thread** (counted in the
 //! `itdb_events_streamers` gauge), so a long-lived subscriber never
 //! occupies a query worker.
@@ -33,10 +34,11 @@
 //!
 //! ## Self-healing
 //!
-//! The acceptor doubles as a **supervisor**: every pass over the accept
-//! loop it checks each worker's `JoinHandle::is_finished()` and respawns
+//! The acceptor doubles as a **supervisor**: on every wake it respawns
 //! dead workers in place (counted in `itdb_worker_respawns_total`, traced
-//! as `worker_respawn`). Inside a worker, each connection is handled
+//! as `worker_respawn`). A worker dying of a panic marks itself dead and
+//! wakes the acceptor with one loopback connect, so its replacement
+//! does not wait for the next client. Inside a worker, each connection is handled
 //! under `catch_unwind`: a panicking handler answers `500`, bumps
 //! `itdb_worker_panics_total`, and the worker lives on. A panic can
 //! therefore degrade one request, never the pool.
@@ -60,11 +62,17 @@
 //!
 //! [`ServiceTotals`]: itdb_core::ServiceTotals
 //!
-//! Every `/query` request evaluates under its own governor
-//! ([`itdb_core::Service`]), so one request's fuel exhaustion or deadline
-//! is invisible to its neighbors. Graceful shutdown: cancelling the token
-//! stops the acceptor, closes the queue, and lets workers finish their
-//! in-flight requests.
+//! ## One read path
+//!
+//! `/query` answers by lookup over a model: in ingest mode the resident
+//! model the WAL maintains, otherwise the model [`itdb_core::Service`]
+//! evaluates once on the first query. Only a workload that does not
+//! converge evaluates per request, each under its own governor, so one
+//! request's fuel exhaustion or deadline is invisible to its neighbors.
+//!
+//! Graceful shutdown: cancelling the token wakes the acceptor (one
+//! loopback connect), which stops, closes the queue, and lets workers
+//! finish their in-flight requests.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -77,16 +85,16 @@ use crate::ingest::{parse_facts_body, Ingest, IngestConfig, IngestError};
 use crate::metrics::HttpMetrics;
 use crate::shed::{Admission, AdmissionControl};
 use itdb_core::{
-    parse_atom, query, write_metrics_into, CancelToken, QueryRequest, QueryResponse, QueryStatus,
-    Service, ServiceDefaults, Workload,
+    write_metrics_into, CancelToken, QueryRequest, QueryStatus, Service, ServiceDefaults, Workload,
 };
 use itdb_trace::prom::PromText;
 use itdb_trace::{EventKind, FanoutSink, Sink};
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -147,8 +155,9 @@ pub struct ServeConfig {
     pub access_log: bool,
     /// Streaming ingestion (`POST /facts`): WAL directory, flush policy,
     /// dedup window and checkpoint cadence. `None` = read-only serving
-    /// with per-request evaluation; `Some` keeps a resident incrementally
-    /// maintained model and answers reads from it as closed-form lookups.
+    /// from the model evaluated on the first query; `Some` evaluates at
+    /// boot and keeps the model resident and incrementally maintained.
+    /// Either way reads are closed-form lookups.
     pub ingest: Option<IngestConfig>,
     /// Seeded fault-injection schedule (chaos testing only).
     #[cfg(feature = "chaos")]
@@ -277,7 +286,6 @@ impl Server {
     /// checkpoints. The acceptor supervises the pool: dead workers are
     /// respawned in place.
     pub fn run(self, shutdown: &CancelToken) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let (tx, rx) = sync_channel::<QueuedConn>(self.config.max_queued);
         let rx = Arc::new(Mutex::new(rx));
         let ctx = Arc::new(WorkerCtx {
@@ -293,8 +301,9 @@ impl Server {
             chaos: self.chaos.clone(),
             config: self.config.clone(),
             shutdown: shutdown.clone(),
+            local_addr: self.local_addr,
         });
-        let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(ctx.config.workers.max(1));
+        let mut workers = Vec::with_capacity(ctx.config.workers.max(1));
         for i in 0..ctx.config.workers.max(1) {
             workers.push(spawn_worker(i, &rx, &ctx)?);
         }
@@ -302,57 +311,17 @@ impl Server {
         // respawn events it emits reach /events subscribers (the trace
         // registry is thread-local).
         let sink_id = itdb_trace::add_sink(Arc::clone(&self.fanout) as Arc<dyn Sink>);
-        while !shutdown.is_cancelled() {
-            for (i, slot) in workers.iter_mut().enumerate() {
-                if slot.is_finished() {
-                    let dead = std::mem::replace(slot, spawn_worker(i, &rx, &ctx)?);
-                    let _ = dead.join(); // collect the panic payload
-                    self.metrics.record_worker_respawn();
-                    itdb_trace::emit(|| EventKind::WorkerRespawn { worker: i as u64 });
-                }
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-                    let _ = stream.set_write_timeout(Some(self.config.write_timeout));
-                    self.admission.on_enqueue();
-                    let conn = QueuedConn {
-                        stream,
-                        enqueued: Instant::now(),
-                    };
-                    match tx.try_send(conn) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(conn)) | Err(TrySendError::Disconnected(conn)) => {
-                            // Best-effort 503 straight from the acceptor;
-                            // never block accepting on a full pool.
-                            self.admission.on_dequeue();
-                            let retry = self.admission.retry_after_s().to_string();
-                            let mut stream = conn.stream;
-                            let _ = http::write_response_with(
-                                &mut stream,
-                                503,
-                                "application/json",
-                                b"{\"error\":\"server at capacity, retry later\"}",
-                                false,
-                                &[("Retry-After", retry.as_str())],
-                            );
-                            self.metrics
-                                .record("-", "(queue-full)", 503, Duration::ZERO);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+        let stop_waker = CancelToken::new();
+        let waker = spawn_shutdown_waker(shutdown.clone(), stop_waker.clone(), self.local_addr)?;
+        let accepted = self.accept_loop(shutdown, &tx, &rx, &ctx, &mut workers);
+        stop_waker.cancel();
+        let _ = waker.join();
+        accepted?;
         // Closing the channel lets each worker drain what was already
         // queued and exit; in-flight requests complete.
         drop(tx);
-        for handle in workers {
-            let _ = handle.join();
+        for worker in workers {
+            let _ = worker.handle.join();
         }
         // Streamer threads poll the shutdown token every 250ms; with the
         // workers gone no new streamers can appear, so one sweep joins
@@ -375,6 +344,99 @@ impl Server {
         itdb_trace::flush_sinks();
         Ok(())
     }
+
+    /// Blocks in `accept` until `shutdown` is cancelled. Every wake — a
+    /// client, a dying worker's notice, or the shutdown waker — first
+    /// respawns dead workers in place, then queues the connection.
+    fn accept_loop(
+        &self,
+        shutdown: &CancelToken,
+        tx: &SyncSender<QueuedConn>,
+        rx: &Arc<Mutex<Receiver<QueuedConn>>>,
+        ctx: &Arc<WorkerCtx>,
+        workers: &mut [Worker],
+    ) -> io::Result<()> {
+        loop {
+            let accepted = self.listener.accept();
+            if shutdown.is_cancelled() {
+                return Ok(());
+            }
+            for (i, slot) in workers.iter_mut().enumerate() {
+                if slot.died.load(Ordering::Acquire) || slot.handle.is_finished() {
+                    let dead = std::mem::replace(slot, spawn_worker(i, rx, ctx)?);
+                    let _ = dead.handle.join(); // collect the panic payload
+                    self.metrics.record_worker_respawn();
+                    itdb_trace::emit(|| EventKind::WorkerRespawn { worker: i as u64 });
+                }
+            }
+            let stream = match accepted {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let _ = stream.set_read_timeout(Some(self.config.read_timeout));
+            let _ = stream.set_write_timeout(Some(self.config.write_timeout));
+            self.admission.on_enqueue();
+            let conn = QueuedConn {
+                stream,
+                enqueued: Instant::now(),
+            };
+            if let Err(TrySendError::Full(conn) | TrySendError::Disconnected(conn)) =
+                tx.try_send(conn)
+            {
+                // Best-effort 503 straight from the acceptor; never block
+                // accepting on a full pool.
+                self.admission.on_dequeue();
+                let retry = self.admission.retry_after_s().to_string();
+                let mut stream = conn.stream;
+                let msg = "server at capacity, retry later";
+                send_error(
+                    &mut stream,
+                    503,
+                    msg,
+                    false,
+                    &[("Retry-After", retry.as_str())],
+                );
+                self.metrics
+                    .record("-", "(queue-full)", 503, Duration::ZERO);
+            }
+        }
+    }
+}
+
+/// Wakes the blocking acceptor with one loopback connect to the bound
+/// address; the acceptor notices why it woke and drops or queues the
+/// empty connection (a worker reads EOF and moves on).
+fn wake_acceptor(addr: SocketAddr) {
+    let mut addr = addr;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
+/// Watches the shutdown token off the accept path and wakes the acceptor
+/// once it is cancelled. `stop` ends the watch when `run` returns for
+/// another reason.
+fn spawn_shutdown_waker(
+    shutdown: CancelToken,
+    stop: CancelToken,
+    addr: SocketAddr,
+) -> io::Result<JoinHandle<()>> {
+    thread::Builder::new()
+        .name("itdb-serve-waker".to_string())
+        .spawn(move || {
+            while !shutdown.is_cancelled() {
+                if stop.is_cancelled() {
+                    return;
+                }
+                thread::sleep(Duration::from_millis(20));
+            }
+            wake_acceptor(addr);
+        })
 }
 
 /// One accepted connection, stamped for the queue-deadline check.
@@ -398,18 +460,55 @@ struct WorkerCtx {
     chaos: Option<Arc<Chaos>>,
     config: ServeConfig,
     shutdown: CancelToken,
+    /// The bound address, for waking the blocking acceptor.
+    local_addr: SocketAddr,
+}
+
+/// One pooled worker thread and its death notice.
+struct Worker {
+    handle: JoinHandle<()>,
+    /// Set as the thread unwinds from a panic, just before it wakes the
+    /// acceptor, so the wake sees the death even if the thread has not
+    /// quite finished. The `Release` store pairs with the acceptor's
+    /// `Acquire` load.
+    died: Arc<AtomicBool>,
+}
+
+/// Dropped last in a worker thread: on a panic it marks the worker dead
+/// and wakes the acceptor, which respawns it.
+struct DeathNotice {
+    died: Arc<AtomicBool>,
+    acceptor: SocketAddr,
+}
+
+impl Drop for DeathNotice {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.died.store(true, Ordering::Release);
+            wake_acceptor(self.acceptor);
+        }
+    }
 }
 
 fn spawn_worker(
     index: usize,
     rx: &Arc<Mutex<Receiver<QueuedConn>>>,
     ctx: &Arc<WorkerCtx>,
-) -> io::Result<JoinHandle<()>> {
+) -> io::Result<Worker> {
     let rx = Arc::clone(rx);
     let ctx = Arc::clone(ctx);
-    thread::Builder::new()
+    let died = Arc::new(AtomicBool::new(false));
+    let notice = DeathNotice {
+        died: Arc::clone(&died),
+        acceptor: ctx.local_addr,
+    };
+    let handle = thread::Builder::new()
         .name(format!("itdb-serve-{index}"))
-        .spawn(move || worker_loop(index as u64, &rx, &ctx))
+        .spawn(move || {
+            let _notice = notice;
+            worker_loop(index as u64, &rx, &ctx);
+        })?;
+    Ok(Worker { handle, died })
 }
 
 fn worker_loop(worker: u64, rx: &Mutex<Receiver<QueuedConn>>, ctx: &Arc<WorkerCtx>) {
@@ -454,11 +553,11 @@ fn serve_connection(worker: u64, conn: QueuedConn, ctx: &Arc<WorkerCtx>) {
                 http::read_request_deadline(&mut BufReader::new(clone), ctx.config.header_deadline);
         }
         let retry = retry_after_s.to_string();
-        let _ = http::write_response_with(
+        let msg = "overloaded: queue deadline would expire, retry later";
+        send_error(
             &mut stream,
             503,
-            "application/json",
-            &json_error("overloaded: queue deadline would expire, retry later"),
+            msg,
             false,
             &[("Retry-After", retry.as_str())],
         );
@@ -487,12 +586,7 @@ fn serve_connection(worker: u64, conn: QueuedConn, ctx: &Arc<WorkerCtx>) {
             let _ =
                 http::read_request_deadline(&mut BufReader::new(clone), ctx.config.header_deadline);
         }
-        let _ = http::write_response(
-            &mut stream,
-            500,
-            "application/json",
-            &json_error("chaos: worker killed"),
-        );
+        send_error(&mut stream, 500, "chaos: worker killed", false, &[]);
         ctx.metrics.record("-", "(chaos-kill)", 500, Duration::ZERO);
         panic!("chaos: scheduled worker death");
     }
@@ -519,12 +613,8 @@ fn serve_connection(worker: u64, conn: QueuedConn, ctx: &Arc<WorkerCtx>) {
             let _ = w.set_read_timeout(Some(Duration::from_millis(100)));
             let mut buf = [0u8; 4096];
             while matches!(io::Read::read(&mut w, &mut buf), Ok(n) if n > 0) {}
-            let _ = http::write_response(
-                &mut w,
-                500,
-                "application/json",
-                &json_error("internal error: request handler panicked"),
-            );
+            let msg = "internal error: request handler panicked";
+            send_error(&mut w, 500, msg, false, &[]);
         }
     }
 }
@@ -539,12 +629,27 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn json_error(msg: &str) -> Vec<u8> {
-    let mut out = String::with_capacity(msg.len() + 16);
-    out.push_str("{\"error\":\"");
-    itdb_trace::json::escape_into(msg, &mut out);
-    out.push_str("\"}");
-    out.into_bytes()
+/// Writes a JSON `{"error":…}` response and returns its status.
+fn send_error(
+    w: &mut impl Write,
+    status: u16,
+    msg: &str,
+    keep: bool,
+    headers: &[(&str, &str)],
+) -> u16 {
+    let mut body = String::with_capacity(msg.len() + 16);
+    body.push_str("{\"error\":\"");
+    itdb_trace::json::escape_into(msg, &mut body);
+    body.push_str("\"}");
+    let _ = http::write_response_with(
+        w,
+        status,
+        "application/json",
+        body.as_bytes(),
+        keep,
+        headers,
+    );
+    status
 }
 
 /// Known routes, for metric labels and the in-flight table.
@@ -598,13 +703,7 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<WorkerCtx>) {
             // Idle keep-alive expiry between requests: close silently.
             Err(ParseError::Io(_)) if served > 0 => return,
             Err(e) => {
-                let status = e.status();
-                let _ = http::write_response(
-                    &mut writer,
-                    status,
-                    "application/json",
-                    &json_error(&e.to_string()),
-                );
+                let status = send_error(&mut writer, e.status(), &e.to_string(), false, &[]);
                 ctx.metrics
                     .record("-", "(parse-error)", status, started.elapsed());
                 return;
@@ -644,30 +743,14 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<WorkerCtx>) {
                 _,
                 "/healthz" | "/metrics" | "/query" | "/facts" | "/events" | "/debug/flight"
                 | "/debug/profile" | "/debug/requests",
-            ) => {
-                let body = json_error("method not allowed");
-                let _ = http::write_response_with(
-                    &mut writer,
-                    405,
-                    "application/json",
-                    &body,
-                    keep,
-                    &[],
-                );
-                405
-            }
-            _ => {
-                let body = json_error(&format!("no such endpoint `{path}`"));
-                let _ = http::write_response_with(
-                    &mut writer,
-                    404,
-                    "application/json",
-                    &body,
-                    keep,
-                    &[],
-                );
-                404
-            }
+            ) => send_error(&mut writer, 405, "method not allowed", keep, &[]),
+            _ => send_error(
+                &mut writer,
+                404,
+                &format!("no such endpoint `{path}`"),
+                keep,
+                &[],
+            ),
         };
         drop(inflight);
         let elapsed = started.elapsed();
@@ -920,6 +1003,12 @@ fn serve_metrics(w: &mut impl Write, ctx: &WorkerCtx, keep: bool) -> u16 {
     200
 }
 
+/// `POST /query`: one lookup-and-render path for both serving modes. In
+/// ingest mode the pattern is looked up in the resident model the WAL
+/// maintains; otherwise [`Service::run_query_observed`] looks it up in
+/// the model evaluated once on the first query, or evaluates per request
+/// if the workload does not converge. Either way the same response
+/// builder, profile, slow-query log and totals apply.
 fn serve_query(
     w: &mut impl Write,
     req: &Request,
@@ -929,78 +1018,29 @@ fn serve_query(
     inflight: &InFlightGuard,
 ) -> u16 {
     let id_header = [("X-Itdb-Request-Id", request_id)];
-    let pattern = match std::str::from_utf8(&req.body) {
-        Ok(s) if !s.trim().is_empty() => s.trim().to_string(),
-        Ok(_) => {
-            let _ = http::write_response_with(
-                w,
-                400,
-                "application/json",
-                &json_error("empty body: POST the query pattern, e.g. `p[t](X)`"),
-                keep,
-                &id_header,
-            );
-            return 400;
-        }
-        Err(_) => {
-            let _ = http::write_response_with(
-                w,
-                400,
-                "application/json",
-                &json_error("body is not valid UTF-8"),
-                keep,
-                &id_header,
-            );
-            return 400;
-        }
-    };
-    let fuel = match parse_u64_header(req, "x-itdb-fuel") {
-        Ok(v) => v,
-        Err(msg) => {
-            let _ = http::write_response_with(
-                w,
-                400,
-                "application/json",
-                &json_error(&msg),
-                keep,
-                &id_header,
-            );
-            return 400;
-        }
-    };
-    let timeout_ms = match parse_u64_header(req, "x-itdb-timeout-ms") {
-        Ok(v) => v,
-        Err(msg) => {
-            let _ = http::write_response_with(
-                w,
-                400,
-                "application/json",
-                &json_error(&msg),
-                keep,
-                &id_header,
-            );
-            return 400;
-        }
-    };
-    // In ingest mode the model is already materialized and maintained:
-    // reads are closed-form lookups against the resident relations, with
-    // no per-request evaluation (and so no governor) at all.
-    if let Some(ingest) = &ctx.ingest {
-        return serve_query_resident(w, ingest, &pattern, keep, request_id);
+    let parsed = match std::str::from_utf8(&req.body) {
+        Ok(s) if !s.trim().is_empty() => Ok(s.trim().to_string()),
+        Ok(_) => Err("empty body: POST the query pattern, e.g. `p[t](X)`".to_string()),
+        Err(_) => Err("body is not valid UTF-8".to_string()),
     }
+    .and_then(|pattern| {
+        let fuel = parse_u64_header(req, "x-itdb-fuel")?;
+        let timeout_ms = parse_u64_header(req, "x-itdb-timeout-ms")?;
+        Ok((pattern, fuel, timeout_ms))
+    });
+    let (pattern, fuel, timeout_ms) = match parsed {
+        Ok(p) => p,
+        Err(msg) => return send_error(w, 400, &msg, keep, &id_header),
+    };
     // Under queue pressure, requests that bring no explicit budget run on
     // a tightened default so the backlog drains. An explicit X-Itdb-Fuel
-    // is client intent and is never tightened.
-    let fuel = match fuel {
-        Some(f) => Some(f),
-        None => {
-            let divisor = ctx.admission.fuel_divisor();
-            match ctx.config.defaults.fuel {
-                Some(f) if divisor > 1 => Some((f / divisor).max(1)),
-                _ => None,
-            }
-        }
-    };
+    // is client intent and is never tightened. Budgets only matter where
+    // a request evaluates (a workload that does not converge).
+    let fuel = fuel.or_else(|| {
+        let divisor = ctx.admission.fuel_divisor();
+        let default = ctx.config.defaults.fuel.filter(|_| divisor > 1);
+        default.map(|f| (f / divisor).max(1))
+    });
     let query = QueryRequest {
         pattern,
         fuel,
@@ -1008,141 +1048,65 @@ fn serve_query(
         request_id: Some(request_id.to_string()),
     };
     // Span profiling per request: feeds the /debug/profile aggregate and
-    // the slow-query log. Timing only — the evaluation's answers are
-    // byte-identical with or without it.
+    // the slow-query log. Timing only — the answers are byte-identical
+    // with or without it.
     let started = Instant::now();
     itdb_trace::set_profiling(true);
     let mut governor = None;
-    let result = ctx.service.run_query_observed(&query, |g| {
-        // Publish the per-request governor so /debug/requests can read
-        // fuel spent (atomics) while this evaluation runs.
-        inflight.attach_governor(g);
-        governor = Some(Arc::clone(g));
-    });
+    let result = match &ctx.ingest {
+        Some(ingest) => ingest.with_model(|m| ctx.service.lookup(m, &query)),
+        None => ctx.service.run_query_observed(&query, |g| {
+            // Publish the governor so /debug/requests can read fuel spent
+            // (atomics) while this evaluation runs.
+            inflight.attach_governor(g);
+            governor = Some(Arc::clone(g));
+        }),
+    };
     itdb_trace::set_profiling(false);
     let profile = itdb_trace::take_profile();
     let elapsed = started.elapsed();
     ctx.debug.absorb_profile("/query", &profile);
-    match result {
-        Ok(resp) => {
-            if let Some(d) = &ctx.durability {
-                d.submit(&ctx.service.totals());
-            }
-            if matches!(resp.status, QueryStatus::Interrupted(_)) {
-                // A tripped request is exactly when an operator asks
-                // "what was it doing": freeze every worker's ring.
-                ctx.debug.capture_dump("governor_trip", Some(request_id));
-            }
-            if let Some(ms) = ctx.config.slow_query_ms {
-                if elapsed >= Duration::from_millis(ms) {
-                    let status_str = match &resp.status {
-                        QueryStatus::Complete => "complete",
-                        QueryStatus::Diverged => "diverged",
-                        QueryStatus::Interrupted(_) => "interrupted",
-                    };
-                    ctx.debug.record_slow(
-                        request_id,
-                        &query.pattern,
-                        status_str,
-                        u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                        governor.as_ref(),
-                        &resp.stats.to_json(),
-                        &profile,
-                    );
-                }
-            }
-            let _ = http::write_response_with(
-                w,
-                200,
-                "application/json",
-                resp.to_json().as_bytes(),
-                keep,
-                &id_header,
-            );
-            200
-        }
-        Err(e) => {
-            // Evaluation-layer rejections (bad pattern, unknown
-            // predicate) are the client's fault, not the server's.
-            let _ = http::write_response_with(
-                w,
-                422,
-                "application/json",
-                &json_error(&e.to_string()),
-                keep,
-                &id_header,
-            );
-            422
-        }
-    }
-}
-
-/// The closed-form read path of ingest mode: answer the pattern against
-/// the resident model's maintained relations, no evaluation at all.
-fn serve_query_resident(
-    w: &mut impl Write,
-    ingest: &Ingest,
-    pattern: &str,
-    keep: bool,
-    request_id: &str,
-) -> u16 {
-    let id_header = [("X-Itdb-Request-Id", request_id)];
-    let atom = match parse_atom(pattern) {
-        Ok(a) => a,
-        Err(e) => {
-            let _ = http::write_response_with(
-                w,
-                422,
-                "application/json",
-                &json_error(&e.to_string()),
-                keep,
-                &id_header,
-            );
-            return 422;
-        }
+    let resp = match result {
+        Ok(resp) => resp,
+        // Evaluation-layer rejections (bad pattern, unknown predicate)
+        // are the client's fault, not the server's.
+        Err(e) => return send_error(w, 422, &e.to_string(), keep, &id_header),
     };
-    let residue_budget = itdb_core::EvalOptions::default().residue_budget;
-    let answered = ingest.with_model(|m| {
-        let rel = m.relation(&atom.pred).ok_or_else(|| {
-            format!(
-                "unknown predicate `{}` (neither derived nor extensional)",
-                atom.pred
-            )
-        })?;
-        let answers_rel = query(rel, &atom, residue_budget).map_err(|e| e.to_string())?;
-        Ok::<Vec<String>, String>(answers_rel.tuples().iter().map(|t| t.to_string()).collect())
-    });
-    match answered {
-        Ok(answers) => {
-            let resp = QueryResponse {
-                pred: atom.pred.clone(),
-                status: QueryStatus::Complete,
-                answers,
-                stats: itdb_core::EvalStats::default(),
-                request_id: Some(request_id.to_string()),
+    if let Some(d) = &ctx.durability {
+        d.submit(&ctx.service.totals());
+    }
+    if matches!(resp.status, QueryStatus::Interrupted(_)) {
+        // A tripped request is exactly when an operator asks "what was it
+        // doing": freeze every worker's ring.
+        ctx.debug.capture_dump("governor_trip", Some(request_id));
+    }
+    if let Some(ms) = ctx.config.slow_query_ms {
+        if elapsed >= Duration::from_millis(ms) {
+            let status_str = match &resp.status {
+                QueryStatus::Complete => "complete",
+                QueryStatus::Diverged => "diverged",
+                QueryStatus::Interrupted(_) => "interrupted",
             };
-            let _ = http::write_response_with(
-                w,
-                200,
-                "application/json",
-                resp.to_json().as_bytes(),
-                keep,
-                &id_header,
+            ctx.debug.record_slow(
+                request_id,
+                &query.pattern,
+                status_str,
+                u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+                governor.as_ref(),
+                &resp.stats.to_json(),
+                &profile,
             );
-            200
-        }
-        Err(msg) => {
-            let _ = http::write_response_with(
-                w,
-                422,
-                "application/json",
-                &json_error(&msg),
-                keep,
-                &id_header,
-            );
-            422
         }
     }
+    let _ = http::write_response_with(
+        w,
+        200,
+        "application/json",
+        resp.to_json().as_bytes(),
+        keep,
+        &id_header,
+    );
+    200
 }
 
 /// `POST /facts`: parse the JSON batch, run it through the WAL-backed
@@ -1157,43 +1121,19 @@ fn serve_facts(
 ) -> u16 {
     let id_header = [("X-Itdb-Request-Id", request_id)];
     let Some(ingest) = &ctx.ingest else {
-        let _ = http::write_response_with(
-            w,
-            404,
-            "application/json",
-            &json_error("streaming ingestion is not enabled (start with --wal DIR)"),
-            keep,
-            &id_header,
-        );
-        return 404;
+        let msg = "streaming ingestion is not enabled (start with --wal DIR)";
+        return send_error(w, 404, msg, keep, &id_header);
     };
     let body = match std::str::from_utf8(&req.body) {
         Ok(s) if !s.trim().is_empty() => s,
         _ => {
-            let _ = http::write_response_with(
-                w,
-                400,
-                "application/json",
-                &json_error("empty or non-UTF-8 body: POST {\"facts\":[{\"pred\":…,\"tuple\":…}]}"),
-                keep,
-                &id_header,
-            );
-            return 400;
+            let msg = "empty or non-UTF-8 body: POST {\"facts\":[{\"pred\":…,\"tuple\":…}]}";
+            return send_error(w, 400, msg, keep, &id_header);
         }
     };
     let facts = match parse_facts_body(body) {
         Ok(f) => f,
-        Err(msg) => {
-            let _ = http::write_response_with(
-                w,
-                400,
-                "application/json",
-                &json_error(&msg),
-                keep,
-                &id_header,
-            );
-            return 400;
-        }
+        Err(msg) => return send_error(w, 400, &msg, keep, &id_header),
     };
     match ingest.submit(request_id, facts) {
         Ok(out) => {
@@ -1228,55 +1168,28 @@ fn serve_facts(
         }
         Err(IngestError::Backpressure { retry_after_s }) => {
             let retry = retry_after_s.to_string();
-            let _ = http::write_response_with(
-                w,
-                503,
-                "application/json",
-                &json_error("ingest queue full, retry later"),
-                keep,
-                &[id_header[0], ("Retry-After", retry.as_str())],
-            );
-            503
+            let headers = [id_header[0], ("Retry-After", retry.as_str())];
+            send_error(w, 503, "ingest queue full, retry later", keep, &headers)
         }
         Err(IngestError::Tripped {
             retry_after_s,
             reason,
         }) => {
             let retry = retry_after_s.to_string();
-            let _ = http::write_response_with(
-                w,
-                503,
-                "application/json",
-                &json_error(&format!(
-                    "batch rolled back: {reason}; the model is unchanged and still serving — retry with a smaller batch or raise the governor limits"
-                )),
-                keep,
-                &[id_header[0], ("Retry-After", retry.as_str())],
+            let headers = [id_header[0], ("Retry-After", retry.as_str())];
+            let msg = format!(
+                "batch rolled back: {reason}; the model is unchanged and still serving — retry with a smaller batch or raise the governor limits"
             );
-            503
+            send_error(w, 503, &msg, keep, &headers)
         }
-        Err(IngestError::Rejected(msg)) => {
-            let _ = http::write_response_with(
-                w,
-                422,
-                "application/json",
-                &json_error(&msg),
-                keep,
-                &id_header,
-            );
-            422
-        }
-        Err(IngestError::Wal(msg)) => {
-            let _ = http::write_response_with(
-                w,
-                500,
-                "application/json",
-                &json_error(&format!("WAL append failed: {msg}")),
-                keep,
-                &id_header,
-            );
-            500
-        }
+        Err(IngestError::Rejected(msg)) => send_error(w, 422, &msg, keep, &id_header),
+        Err(IngestError::Wal(msg)) => send_error(
+            w,
+            500,
+            &format!("WAL append failed: {msg}"),
+            keep,
+            &id_header,
+        ),
     }
 }
 

@@ -146,6 +146,61 @@ fn facts_require_ingest_mode() {
     assert!(body_of(&resp).contains("--wal"), "hint names the flag");
 }
 
+/// One read path: a plain server (the model evaluated once on the first
+/// query) and a `--wal` server (the resident model) answer every pattern
+/// with the same deterministic part. Both count their lookups, log them
+/// as slow queries and profile them; the plain server's engine counters
+/// hold its one evaluation.
+#[test]
+fn plain_and_wal_modes_answer_alike() {
+    let dir = temp_dir("one_read_path");
+    let observed = |mut config: ServeConfig| {
+        config.slow_query_ms = Some(0);
+        config.slow_log = Some(dir.join(format!("slow_{}.jsonl", config.ingest.is_some())));
+        config
+    };
+    std::fs::create_dir_all(&dir).unwrap();
+    let plain = TestServer::start(observed(ServeConfig::default()));
+    let wal = TestServer::start(observed(ingest_config(&dir.join("wal"))));
+    let patterns = [
+        "problems[t1, t2](C)",
+        "problems[t, t + 2](database)",
+        "course[t1, t2](C)",
+    ];
+    for pattern in patterns {
+        let (a, b) = (
+            post_query(plain.addr, pattern),
+            post_query(wal.addr, pattern),
+        );
+        assert_eq!(status_of(&a), 200, "{a}");
+        assert_eq!(status_of(&b), 200, "{b}");
+        assert!(body_of(&a).contains("\"status\":\"complete\""), "{a}");
+        assert_eq!(
+            deterministic_part(body_of(&a)),
+            deterministic_part(body_of(&b)),
+            "{pattern}"
+        );
+    }
+    for ts in [&plain, &wal] {
+        let metrics = exchange(ts.addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+        let metrics = body_of(&metrics);
+        assert!(metrics.contains("itdb_queries_total 3\n"), "{metrics}");
+        assert!(metrics.contains("itdb_slow_queries_total 3\n"), "{metrics}");
+        let profile = exchange(ts.addr, "GET /debug/profile HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(body_of(&profile).contains("\"requests\":3"), "{profile}");
+        assert!(body_of(&profile).contains("query.lookup"), "{profile}");
+    }
+    let metrics = exchange(plain.addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let derived: f64 = body_of(&metrics)
+        .lines()
+        .find_map(|l| l.strip_prefix("itdb_tuples_derived_total "))
+        .and_then(|v| v.parse().ok())
+        .unwrap();
+    assert!(derived > 0.0, "one-time evaluation not folded:\n{metrics}");
+    drop((plain, wal));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn facts_accepted_visible_and_idempotent() {
     let dir = temp_dir("visible");
