@@ -98,23 +98,6 @@ pub struct EvalOptions {
     /// write failures never abort the evaluation — they are counted in
     /// [`Evaluation::checkpoints`].
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Worker threads for the derive phase of each iteration. `1` (the
-    /// default) keeps the classic single-threaded path; `N > 1` shards
-    /// each rule firing across a pool of `N` scoped threads (see
-    /// [`crate::parallel`]) with a rendezvous barrier before the merge.
-    /// Models are byte-identical for every value of `parallel`.
-    pub parallel: usize,
-}
-
-/// Default worker count: the `ITDB_PARALLEL` environment variable when set
-/// to an integer ≥ 1 (the CI parallel-stress job uses this to force every
-/// default-options evaluation through the sharded path), otherwise 1.
-fn default_parallel() -> usize {
-    std::env::var("ITDB_PARALLEL")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 impl Default for EvalOptions {
@@ -133,7 +116,6 @@ impl Default for EvalOptions {
             use_index: true,
             provenance: false,
             checkpoint: None,
-            parallel: default_parallel(),
         }
     }
 }
@@ -553,11 +535,6 @@ fn evaluate_governed_impl(
     let _eval_span = itdb_trace::span(itdb_trace::SpanKind::Evaluate, "evaluate");
     let eval_start = Instant::now();
     let counters_before = itdb_lrp::stats::snapshot();
-    // Counters accumulated on worker threads (each worker's thread-local
-    // cells are scoped with `stats::take()` and folded here at barriers);
-    // added to the coordinator's own delta at the end.
-    let mut worker_counters = itdb_lrp::stats::Counters::default();
-    let workers = opts.parallel.max(1);
     let mut stats = EvalStats::default();
     let info = analyze(program)?;
     // Rule identity for spans, events, and provenance: one label per
@@ -740,53 +717,21 @@ fn evaluate_governed_impl(
             let mut derived: Vec<Pending> = Vec::new();
             let mut trip: Option<TripReason> = None;
 
-            if workers > 1 {
-                // Sharded path: fire every (clause, delta-position) unit
-                // across the worker pool against the immutable snapshot,
-                // rendezvous, and receive the derived tuples in sequential
-                // emission order (see `crate::parallel`). The merge below
-                // is shared with the sequential path and stays
-                // single-writer.
-                let ctx = crate::parallel::DeriveCtx {
-                    clauses: &stratum_clauses,
-                    stratum_preds: &stratum_preds,
-                    idb: &idb,
-                    delta: &delta,
-                    edb,
-                    empty: &empty_relations,
-                    info: &info,
-                    rule_labels: &rule_labels,
-                    seminaive_pass: opts.seminaive && stratum_iter > 1,
-                    residue_budget: opts.residue_budget,
-                    use_index: opts.use_index,
-                    collect_sources,
-                };
-                match crate::parallel::derive_parallel(
-                    &ctx,
-                    workers,
-                    governor,
-                    &mut worker_counters,
-                ) {
-                    Ok(d) => derived = d,
-                    Err(e) => trip = Some(as_trip(e)?),
-                }
-            } else {
-                derive_sequential(
-                    &stratum_clauses,
-                    &stratum_preds,
-                    &idb,
-                    &delta,
-                    edb,
-                    &empty_relations,
-                    &info,
-                    &rule_labels,
-                    opts,
-                    stratum_iter,
-                    collect_sources,
-                    &mut derived,
-                    &mut trip,
-                )?;
-            }
+            derive_sequential(
+                &stratum_clauses,
+                &stratum_preds,
+                &idb,
+                &delta,
+                edb,
+                &empty_relations,
+                &info,
+                &rule_labels,
+                opts,
+                stratum_iter,
+                collect_sources,
+                &mut derived,
+                &mut trip,
+            )?;
             if let Some(reason) = trip {
                 // Tripped mid-derivation: abandon this iteration's derived
                 // tuples; the model is exactly the last completed
@@ -1036,7 +981,7 @@ fn evaluate_governed_impl(
         }
     }
 
-    stats.counters = (itdb_lrp::stats::snapshot() - counters_before) + worker_counters;
+    stats.counters = itdb_lrp::stats::snapshot() - counters_before;
     stats.elapsed = eval_start.elapsed();
 
     Ok(Evaluation {
@@ -1161,12 +1106,10 @@ fn maybe_checkpoint(
     }
 }
 
-/// The classic single-threaded derive phase of one iteration: fires every
-/// stratum clause (each delta position on semi-naive passes) against the
-/// current snapshot, appending emissions to `derived` in firing order.
-/// A governor trip mid-derivation lands in `trip`; genuine errors
-/// propagate. This is the `--parallel 1` oracle the sharded path
-/// ([`crate::parallel`]) is byte-identical to.
+/// The derive phase of one iteration: fires every stratum clause (each
+/// delta position on semi-naive passes) against the current snapshot,
+/// appending emissions to `derived` in firing order. A governor trip
+/// mid-derivation lands in `trip`; genuine errors propagate.
 #[allow(clippy::too_many_arguments)]
 fn derive_sequential(
     stratum_clauses: &[&NormClause],
@@ -1225,7 +1168,6 @@ fn derive_sequential(
                     opts.residue_budget,
                     opts.use_index,
                     collect_sources,
-                    None,
                     &mut |t, sources| {
                         derived.push(Pending {
                             pred: clause.head_pred.clone(),
@@ -1255,7 +1197,6 @@ fn derive_sequential(
                 opts.residue_budget,
                 opts.use_index,
                 collect_sources,
-                None,
                 &mut |t, sources| {
                     derived.push(Pending {
                         pred: clause.head_pred.clone(),
@@ -1295,14 +1236,6 @@ fn pred_key<'a>(info: &'a ProgramInfo, pred: &str) -> Result<&'a str> {
 /// tuples through `emit`. When `collect_sources` is set, each emission
 /// carries the positive body facts matched on the DFS path that produced
 /// it (cloned); otherwise the source list is empty.
-///
-/// `level0_shard` restricts the *outermost* candidate list (body position
-/// 0) to the contiguous range `[lo, hi)` — the sharding hook of
-/// [`crate::parallel`]: because the level-0 list is the DFS's outermost
-/// loop, the emissions of one shard are exactly the contiguous slice of
-/// the full emission sequence whose outermost candidate index falls in
-/// the range. `None` fires the whole clause (the sequential path).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_clause<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
     clause: &'a NormClause,
     rel_for: &F,
@@ -1310,7 +1243,6 @@ pub(crate) fn eval_clause<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
     budget: u64,
     use_index: bool,
     collect_sources: bool,
-    level0_shard: Option<(usize, usize)>,
     emit: &mut dyn FnMut(GeneralizedTuple, Vec<(String, GeneralizedTuple)>),
 ) -> Result<()> {
     let n = clause.n_tvars;
@@ -1329,7 +1261,6 @@ pub(crate) fn eval_clause<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
         budget,
         use_index,
         collect_sources,
-        level0_shard,
         emit,
     )
 }
@@ -1371,7 +1302,6 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
     budget: u64,
     use_index: bool,
     collect_sources: bool,
-    level0_shard: Option<(usize, usize)>,
     emit: &mut dyn FnMut(GeneralizedTuple, Vec<(String, GeneralizedTuple)>),
 ) -> Result<()> {
     if k == clause.body.len() {
@@ -1391,18 +1321,10 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
     // far, only same-data tuples can match: consult the index bucket
     // instead of scanning the whole relation. (The data unification below
     // then passes trivially, but stays as the single source of truth.)
-    let mut candidates: Vec<&GeneralizedTuple> = match ground_data_key(&atom.data, &state.binding) {
+    let candidates: Vec<&GeneralizedTuple> = match ground_data_key(&atom.data, &state.binding) {
         Some(key) if use_index && !atom.data.is_empty() => rel.candidates(&key),
         _ => rel.tuples().iter().collect(),
     };
-    // Parallel sharding applies only at the outermost level; the range was
-    // planned against the same candidate-selection rule over the immutable
-    // snapshot, so it always lies in bounds (guarded regardless).
-    if k == 0 {
-        if let Some((lo, hi)) = level0_shard {
-            candidates = candidates.get(lo..hi).map_or_else(Vec::new, <[_]>::to_vec);
-        }
-    }
     'tuples: for tuple in candidates {
         // Save state for backtracking.
         let saved_lrps = state.lrps.clone();
@@ -1454,7 +1376,6 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
             budget,
             use_index,
             collect_sources,
-            None, // shard consumed at level 0
             emit,
         );
         state.matched.pop();
@@ -1742,45 +1663,6 @@ mod tests {
             EvalOutcome::Converged { iterations: 8 }
         ));
         assert_eq!(eval.fe_safe_at, Some(8));
-    }
-
-    /// The sharded derive phase reproduces Example 4.1 byte for byte at
-    /// every pool size — model, outcome, per-iteration trace, and the
-    /// paper's insertion order all match the sequential run.
-    #[test]
-    fn example_4_1_parallel_is_byte_identical() {
-        let base = EvalOptions {
-            trace: true,
-            parallel: 1,
-            ..Default::default()
-        };
-        let seq = evaluate_with(&example_4_1(), &course_db(), &base).unwrap();
-        for workers in [2usize, 3, 4, 8] {
-            let opts = EvalOptions {
-                parallel: workers,
-                ..base.clone()
-            };
-            let par = evaluate_with(&example_4_1(), &course_db(), &opts).unwrap();
-            assert_eq!(par.outcome, seq.outcome, "workers={workers}");
-            assert_eq!(par.idb, seq.idb, "workers={workers}");
-            assert_eq!(par.trace.len(), seq.trace.len(), "workers={workers}");
-            for (p, s) in par.trace.iter().zip(&seq.trace) {
-                assert_eq!(p.inserted, s.inserted, "workers={workers}");
-                assert_eq!(p.subsumed, s.subsumed, "workers={workers}");
-            }
-            // Counter totals agree wherever the work is identical; the
-            // canonical-cache split can only differ by which thread saw
-            // the miss, never in the total.
-            assert_eq!(
-                par.stats.counters.canonical_cache_hits + par.stats.counters.canonical_cache_misses,
-                seq.stats.counters.canonical_cache_hits + seq.stats.counters.canonical_cache_misses,
-                "workers={workers}"
-            );
-            assert_eq!(
-                par.stats.counters.subsumption_checks, seq.stats.counters.subsumption_checks,
-                "workers={workers}"
-            );
-        }
     }
 
     #[test]

@@ -840,7 +840,6 @@ impl ResidentModel {
                             self.opts.residue_budget,
                             self.opts.use_index,
                             collect,
-                            None,
                             &mut |t, sources| {
                                 derived.push(Pending {
                                     pred: clause.head_pred.clone(),
@@ -886,7 +885,6 @@ impl ResidentModel {
                                 self.opts.residue_budget,
                                 self.opts.use_index,
                                 collect,
-                                None,
                                 &mut |t, sources| {
                                     derived.push(Pending {
                                         pred: clause.head_pred.clone(),
@@ -1091,7 +1089,6 @@ impl ResidentModel {
                             self.opts.residue_budget,
                             self.opts.use_index,
                             collect,
-                            None,
                             &mut |t, sources| {
                                 derived.push(Pending {
                                     pred: clause.head_pred.clone(),

@@ -9,12 +9,7 @@
 //!
 //! Counters are monotone within a thread; nested measurements must scope
 //! themselves by snapshot subtraction, never by resetting (two nested
-//! resets would clobber each other). The one sanctioned reset is [`take`],
-//! for *task boundaries on reused pool threads*: a worker that starts a
-//! fresh task calls `take()` to shed whatever a previous task left in the
-//! thread-local cells, then `take()` again at the end to collect exactly
-//! its own delta. Without that reset, a pooled worker's second evaluation
-//! inherits its first evaluation's totals.
+//! resets would clobber each other).
 
 use std::cell::Cell;
 use std::ops::{Add, AddAssign, Sub};
@@ -108,11 +103,10 @@ impl Sub for Counters {
 
     /// Scopes a measurement (`after - before`), saturating at zero per
     /// field. Plain subtraction would panic in debug builds when a stale
-    /// `before` snapshot outruns `after` — which happens exactly when a
-    /// reused pool thread was [`take`]-reset (or absorbed elsewhere)
-    /// between the two snapshots. A saturated field clamps the delta of a
-    /// mis-scoped measurement to zero instead of crashing the evaluation
-    /// that was only trying to report statistics.
+    /// `before` snapshot outruns `after` — which happens when the two
+    /// snapshots were taken on different threads. A saturated field clamps
+    /// the delta of a mis-scoped measurement to zero instead of crashing
+    /// the evaluation that was only trying to report statistics.
     fn sub(self, rhs: Counters) -> Counters {
         Counters {
             canonicalize_calls: self
@@ -155,19 +149,6 @@ thread_local! {
 /// The current thread's counter values.
 pub fn snapshot() -> Counters {
     COUNTERS.with(|c| c.get())
-}
-
-/// Returns the current thread's counter values and resets them to zero.
-///
-/// For **task boundaries on reused pool threads**: call once when a worker
-/// task starts (discarding whatever a previous task on the same OS thread
-/// accumulated) and once when it ends (collecting exactly this task's
-/// delta for the coordinator to fold with `+=`). Within a task, scope
-/// nested measurements by [`snapshot`] subtraction as usual — `take` in
-/// the middle of someone else's snapshot pair would clamp their delta to
-/// zero (see [`Counters::sub`]).
-pub fn take() -> Counters {
-    COUNTERS.with(|c| c.replace(Counters::default()))
 }
 
 fn bump(f: impl FnOnce(&mut Counters)) {
@@ -282,7 +263,8 @@ mod tests {
 
     /// Regression (cross-thread stats sweep): subtracting a larger
     /// snapshot from a smaller one — the shape a stale `before` takes
-    /// after a thread-reuse reset — must clamp to zero, not underflow.
+    /// when it was read on another thread — must clamp to zero, not
+    /// underflow.
     #[test]
     fn sub_saturates_instead_of_underflowing() {
         let small = Counters {
@@ -304,40 +286,6 @@ mod tests {
         // The well-scoped direction still measures exactly.
         assert_eq!((large - small).subsumption_checks, 6);
         assert_eq!((large - small).canonicalize_calls, 7);
-    }
-
-    /// Regression (pooled-worker reset): two evaluations on the *same*
-    /// thread, each scoped by `take()` at task start and end, must each
-    /// see only their own work — the second must not inherit the first's
-    /// totals the way a never-reset thread-local would.
-    #[test]
-    fn take_scopes_two_evaluations_on_the_same_thread() {
-        std::thread::spawn(|| {
-            // First "task": leaves residue in the thread-local cells.
-            let _ = take();
-            for _ in 0..5 {
-                note_subsumption_check();
-            }
-            let first = take();
-            assert_eq!(first.subsumption_checks, 5);
-
-            // Second task on the reused thread: starts from zero.
-            let _ = take();
-            note_subsumption_check();
-            note_index_lookup(1, 3);
-            let second = take();
-            assert_eq!(
-                second.subsumption_checks, 1,
-                "second task must not inherit the first task's 5 checks"
-            );
-            assert_eq!(second.index_candidates, 1);
-            assert_eq!(second.index_scanned_naive, 3);
-
-            // And the cells really are drained afterwards.
-            assert_eq!(snapshot(), Counters::default());
-        })
-        .join()
-        .unwrap_or_else(|_| panic!("worker panicked"));
     }
 
     #[test]
