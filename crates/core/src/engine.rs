@@ -1245,11 +1245,78 @@ pub(crate) fn eval_clause<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
     collect_sources: bool,
     emit: &mut dyn FnMut(GeneralizedTuple, Vec<(String, GeneralizedTuple)>),
 ) -> Result<()> {
+    fire(
+        clause,
+        HashMap::new(),
+        rel_for,
+        neg_rels,
+        budget,
+        use_index,
+        collect_sources,
+        emit,
+    )
+}
+
+/// [`eval_clause`] restricted to the firings whose head carries the data
+/// vector `head_data`. The head's data variables are pre-bound to it, so
+/// `dfs` narrows every body atom that mentions them through the
+/// data-vector index; a head constant or repeated head variable that
+/// disagrees with `head_data` means no firing can produce it. The DRed
+/// re-derive step uses this to re-fire only the over-deleted heads.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn eval_clause_for_head<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
+    clause: &'a NormClause,
+    head_data: &[DataValue],
+    rel_for: &F,
+    neg_rels: &[&GeneralizedRelation],
+    budget: u64,
+    use_index: bool,
+    collect_sources: bool,
+    emit: &mut dyn FnMut(GeneralizedTuple, Vec<(String, GeneralizedTuple)>),
+) -> Result<()> {
+    let mut binding: HashMap<String, DataValue> = HashMap::new();
+    for (term, val) in clause.head_data.iter().zip(head_data) {
+        match term {
+            DataTerm::Const(c) if c != val => return Ok(()),
+            DataTerm::Const(_) => {}
+            DataTerm::Var(v) => match binding.get(v) {
+                Some(b) if b != val => return Ok(()),
+                Some(_) => {}
+                None => {
+                    binding.insert(v.clone(), val.clone());
+                }
+            },
+        }
+    }
+    fire(
+        clause,
+        binding,
+        rel_for,
+        neg_rels,
+        budget,
+        use_index,
+        collect_sources,
+        emit,
+    )
+}
+
+/// Runs the body DFS of `clause` from the given initial data bindings.
+#[allow(clippy::too_many_arguments)]
+fn fire<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
+    clause: &'a NormClause,
+    binding: HashMap<String, DataValue>,
+    rel_for: &F,
+    neg_rels: &[&GeneralizedRelation],
+    budget: u64,
+    use_index: bool,
+    collect_sources: bool,
+    emit: &mut dyn FnMut(GeneralizedTuple, Vec<(String, GeneralizedTuple)>),
+) -> Result<()> {
     let n = clause.n_tvars;
     let mut state = MatchState {
         lrps: vec![Lrp::all_integers(); n],
         dbm: Dbm::unconstrained(n),
-        binding: HashMap::new(),
+        binding,
         matched: Vec::new(),
     };
     dfs(

@@ -44,7 +44,7 @@ pub use governor::{
     check_ambient, CancelToken, Governor, GovernorConfig, GovernorScope, GovernorStats, TripReason,
 };
 pub use lrp::{extended_gcd, gcd, lcm, Lrp, LrpWindowIter};
-pub use relation::{GeneralizedRelation, Schema};
+pub use relation::{remove_at, restore_at, GeneralizedRelation, Schema};
 pub use tuple::GeneralizedTuple;
 pub use value::DataValue;
 pub use zone::{Zone, DEFAULT_RESIDUE_BUDGET};
