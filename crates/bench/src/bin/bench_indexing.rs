@@ -40,7 +40,7 @@ fn main() {
     }
 
     let report = run_indexing(quick);
-    let json = report.to_json();
+    let json = report.to_json() + "\n";
     print!("{json}");
     if let Err(e) = std::fs::write(&out, &json) {
         eprintln!("cannot write {out}: {e}");

@@ -11,11 +11,14 @@
 use crate::workloads::indexing_workload;
 use itdb_core::{evaluate_with, EvalOptions, Evaluation};
 use itdb_lrp::DEFAULT_RESIDUE_BUDGET;
+use itdb_trace::json;
 use std::time::Instant;
 
 /// Everything one indexing-benchmark run measured.
 #[derive(Debug, Clone)]
 pub struct IndexingReport {
+    /// Cores available to the process (`None` when the OS cannot say).
+    pub cores: Option<usize>,
     /// Distinct data values in the workload EDB.
     pub n_data: usize,
     /// EDB lrp period.
@@ -53,44 +56,36 @@ pub struct IndexingReport {
 }
 
 impl IndexingReport {
-    /// Renders the report as a small, hand-rolled JSON document (the
-    /// workspace has no serde; the schema is stable for CI artifacts).
+    /// Renders the report as one JSON document (stable schema for CI
+    /// artifacts; times to the microsecond, ratios to four places).
     pub fn to_json(&self) -> String {
-        let opt = |o: Option<f64>| match o {
-            Some(v) => format!("{v:.4}"),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\n  \
-             \"benchmark\": \"indexing\",\n  \
-             \"workload\": {{ \"n_data\": {}, \"period\": {}, \"step\": {}, \"reps\": {} }},\n  \
-             \"indexed_ms\": {:.3},\n  \
-             \"naive_ms\": {:.3},\n  \
-             \"speedup\": {:.2},\n  \
-             \"equivalent\": {},\n  \
-             \"model_tuples\": {},\n  \
-             \"narrowing_ratio\": {},\n  \
-             \"canonical_hit_rate\": {},\n  \
-             \"empty_hit_rate\": {},\n  \
-             \"subsumption_checks\": {{ \"indexed\": {}, \"naive\": {} }},\n  \
-             \"disabled_path_overhead\": {:.4}\n\
-             }}\n",
-            self.n_data,
-            self.period,
-            self.step,
-            self.reps,
-            self.indexed_ms,
-            self.naive_ms,
-            self.speedup,
-            self.equivalent,
-            self.model_tuples,
-            opt(self.narrowing_ratio),
-            opt(self.canonical_hit_rate),
-            opt(self.empty_hit_rate),
-            self.subsumption_checks_indexed,
-            self.subsumption_checks_naive,
-            self.disabled_path_overhead,
-        )
+        let round = |x: f64, places: i32| (x * 10f64.powi(places)).round() / 10f64.powi(places);
+        let ratio = |r: Option<f64>| r.map(|r| round(r, 4));
+        json::object(|w| {
+            w.field("benchmark", "indexing").field("cores", self.cores);
+            w.key("workload").object(|w| {
+                w.field("n_data", self.n_data)
+                    .field("period", self.period)
+                    .field("step", self.step)
+                    .field("reps", self.reps);
+            });
+            w.field("indexed_ms", round(self.indexed_ms, 3))
+                .field("naive_ms", round(self.naive_ms, 3))
+                .field("speedup", round(self.speedup, 2))
+                .field("equivalent", self.equivalent)
+                .field("model_tuples", self.model_tuples)
+                .field("narrowing_ratio", ratio(self.narrowing_ratio))
+                .field("canonical_hit_rate", ratio(self.canonical_hit_rate))
+                .field("empty_hit_rate", ratio(self.empty_hit_rate));
+            w.key("subsumption_checks").object(|w| {
+                w.field("indexed", self.subsumption_checks_indexed)
+                    .field("naive", self.subsumption_checks_naive);
+            });
+            w.field(
+                "disabled_path_overhead",
+                round(self.disabled_path_overhead, 4),
+            );
+        })
     }
 }
 
@@ -172,6 +167,7 @@ pub fn run_indexing(quick: bool) -> IndexingReport {
     });
 
     IndexingReport {
+        cores: std::thread::available_parallelism().ok().map(|n| n.get()),
         n_data,
         period,
         step,
@@ -209,14 +205,13 @@ mod tests {
             "{r:?}"
         );
         let json = r.to_json();
-        assert!(json.contains("\"benchmark\": \"indexing\""), "{json}");
-        assert!(json.contains("\"speedup\""), "{json}");
-        assert!(json.contains("\"disabled_path_overhead\""), "{json}");
-        // Balanced braces as a cheap well-formedness check.
+        let v = json::parse(&json).expect("report is well-formed JSON");
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
+            v.get("benchmark").and_then(|b| b.as_str()),
+            Some("indexing")
         );
+        for key in ["cores", "speedup", "disabled_path_overhead"] {
+            assert!(v.get(key).and_then(|x| x.as_f64()).is_some(), "{json}");
+        }
     }
 }

@@ -86,6 +86,7 @@ use crate::shed::{Admission, AdmissionControl};
 use itdb_core::{
     write_metrics_into, CancelToken, QueryRequest, QueryStatus, Service, ServiceDefaults, Workload,
 };
+use itdb_trace::json;
 use itdb_trace::prom::PromText;
 use itdb_trace::{EventKind, FanoutSink, Sink};
 use std::io::{self, BufReader, Write};
@@ -636,10 +637,9 @@ fn send_error(
     keep: bool,
     headers: &[(&str, &str)],
 ) -> u16 {
-    let mut body = String::with_capacity(msg.len() + 16);
-    body.push_str("{\"error\":\"");
-    itdb_trace::json::escape_into(msg, &mut body);
-    body.push_str("\"}");
+    let body = json::object(|w| {
+        w.field("error", msg);
+    });
     let _ = http::write_response_with(
         w,
         status,
@@ -668,18 +668,15 @@ fn route_label(path: &str) -> &'static str {
 
 /// One structured JSONL access-log line to stdout.
 fn access_log_line(request_id: &str, method: &str, route: &str, status: u16, elapsed: Duration) {
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"log\":\"access\",\"request_id\":\"");
-    itdb_trace::json::escape_into(request_id, &mut out);
-    out.push_str("\",\"method\":\"");
-    itdb_trace::json::escape_into(method, &mut out);
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "\",\"route\":\"{route}\",\"status\":{status},\"elapsed_us\":{}}}",
-        u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
-    );
-    println!("{out}");
+    let line = json::object(|w| {
+        w.field("log", "access")
+            .field("request_id", request_id)
+            .field("method", method)
+            .field("route", route)
+            .field("status", status)
+            .field("elapsed_us", elapsed);
+    });
+    println!("{line}");
 }
 
 fn handle_connection(stream: TcpStream, ctx: &Arc<WorkerCtx>) {
@@ -1081,18 +1078,13 @@ fn serve_query(
     }
     if let Some(ms) = ctx.config.slow_query_ms {
         if elapsed >= Duration::from_millis(ms) {
-            let status_str = match &resp.status {
-                QueryStatus::Complete => "complete",
-                QueryStatus::Diverged => "diverged",
-                QueryStatus::Interrupted(_) => "interrupted",
-            };
             ctx.debug.record_slow(
                 request_id,
                 &query.pattern,
-                status_str,
-                u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+                resp.status.as_str(),
+                elapsed,
                 governor.as_ref(),
-                &resp.stats.to_json(),
+                &resp.stats,
                 &profile,
             );
         }
@@ -1136,25 +1128,17 @@ fn serve_facts(
     };
     match ingest.submit(request_id, facts) {
         Ok(out) => {
-            use std::fmt::Write as _;
-            let mut body = String::with_capacity(160);
-            let _ = write!(
-                body,
-                "{{\"status\":\"accepted\",\"applied\":{},\"duplicates\":{},\"retracted\":{},\"duplicate_request\":{},\"seq\":",
-                out.applied, out.duplicates, out.retracted, out.duplicate_request
-            );
-            match out.seq {
-                // A deduplicated retry logged nothing: seq is null, not 0
-                // — 0 would collide with nothing but lie about a log
-                // position that does not exist.
-                Some(seq) => {
-                    let _ = write!(body, "{seq}");
-                }
-                None => body.push_str("null"),
-            }
-            body.push_str(",\"request_id\":\"");
-            itdb_trace::json::escape_into(request_id, &mut body);
-            body.push_str("\"}");
+            // A deduplicated retry logged nothing: `seq` is null, not 0 —
+            // 0 would lie about a log position that does not exist.
+            let body = json::object(|w| {
+                w.field("status", "accepted")
+                    .field("applied", out.applied)
+                    .field("duplicates", out.duplicates)
+                    .field("retracted", out.retracted)
+                    .field("duplicate_request", out.duplicate_request)
+                    .field("seq", out.seq)
+                    .field("request_id", request_id);
+            });
             let _ = http::write_response_with(
                 w,
                 202,

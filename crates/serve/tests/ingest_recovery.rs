@@ -261,6 +261,23 @@ fn facts_accepted_visible_and_idempotent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `/facts` body nested far past the JSON parser's depth cap is a
+/// typed 400 — not a stack overflow that aborts the process — and the
+/// server keeps serving.
+#[test]
+fn deeply_nested_facts_body_is_a_400_and_the_server_keeps_serving() {
+    let dir = temp_dir("deep");
+    let ts = TestServer::start(ingest_config(&dir));
+    let body = format!("{{\"facts\":{}", "[".repeat(100_000));
+    let resp = post_facts(ts.addr, "deep-1", &body);
+    assert_eq!(status_of(&resp), 400, "{}", body_of(&resp));
+    assert!(body_of(&resp).contains("nesting deeper than"), "{resp}");
+    let health = exchange(ts.addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(status_of(&health), 200);
+    drop(ts);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn retraction_end_to_end_and_survives_restart() {
     let dir = temp_dir("retract");

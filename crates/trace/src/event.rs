@@ -7,8 +7,8 @@
 //! payload fields. Tuples are carried in their display form — the parser
 //! round-trips them, so offline tools can re-read derivations exactly.
 
+use crate::json::{self, ToJson, Writer};
 use crate::span::SpanKind;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// One supporting fact of a derivation: the body atom's predicate and the
@@ -182,174 +182,120 @@ pub enum EventKind {
     },
 }
 
-/// Escapes `s` for inclusion in a JSON string literal.
-pub(crate) fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    let _ = write!(out, ",\"{key}\":\"");
-    escape_json(value, out);
-    out.push('"');
-}
-
 impl Event {
     /// Renders the event as one JSON object (no trailing newline).
     ///
     /// The field order is fixed — `event`, `t_us`, then payload fields in
     /// declaration order — so the output is byte-stable for golden tests.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"event\":\"{}\",\"t_us\":{}",
-            self.kind.name(),
-            self.t_us
-        );
-        match &self.kind {
-            EventKind::SpanEnter { kind, label, depth } => {
-                push_str_field(&mut out, "kind", kind.as_str());
-                push_str_field(&mut out, "label", label);
-                let _ = write!(out, ",\"depth\":{depth}");
-            }
-            EventKind::SpanExit {
-                kind,
-                label,
-                depth,
-                total_us,
-                self_us,
-            } => {
-                push_str_field(&mut out, "kind", kind.as_str());
-                push_str_field(&mut out, "label", label);
-                let _ = write!(
-                    out,
-                    ",\"depth\":{depth},\"total_us\":{total_us},\"self_us\":{self_us}"
-                );
-            }
-            EventKind::TupleDerived { pred, rule } => {
-                push_str_field(&mut out, "pred", pred);
-                let _ = write!(out, ",\"rule\":{rule}");
-            }
-            EventKind::TupleInserted {
-                pred,
-                rule,
-                tuple,
-                sources,
-            } => {
-                push_str_field(&mut out, "pred", pred);
-                let _ = write!(out, ",\"rule\":{rule}");
-                push_str_field(&mut out, "tuple", tuple);
-                out.push_str(",\"sources\":[");
-                for (i, s) in sources.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"pred\":\"");
-                    escape_json(&s.pred, &mut out);
-                    out.push_str("\",\"tuple\":\"");
-                    escape_json(&s.tuple, &mut out);
-                    out.push_str("\"}");
+        json::render(self)
+    }
+}
+
+impl ToJson for SourceFact {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("pred", &self.pred).field("tuple", &self.tuple);
+        });
+    }
+}
+
+impl ToJson for Event {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("event", self.kind.name()).field("t_us", self.t_us);
+            match &self.kind {
+                EventKind::SpanEnter { kind, label, depth } => w
+                    .field("kind", kind.as_str())
+                    .field("label", label)
+                    .field("depth", depth),
+                EventKind::SpanExit {
+                    kind,
+                    label,
+                    depth,
+                    total_us,
+                    self_us,
+                } => w
+                    .field("kind", kind.as_str())
+                    .field("label", label)
+                    .field("depth", depth)
+                    .field("total_us", total_us)
+                    .field("self_us", self_us),
+                EventKind::TupleDerived { pred, rule } => w.field("pred", pred).field("rule", rule),
+                EventKind::TupleInserted {
+                    pred,
+                    rule,
+                    tuple,
+                    sources,
+                } => w
+                    .field("pred", pred)
+                    .field("rule", rule)
+                    .field("tuple", tuple)
+                    .field("sources", sources),
+                EventKind::TupleSubsumed { pred, rule, tuple } => w
+                    .field("pred", pred)
+                    .field("rule", rule)
+                    .field("tuple", tuple),
+                EventKind::GovernorTrip { reason } => w.field("reason", reason),
+                EventKind::IndexLookup {
+                    candidates,
+                    scanned,
+                } => w.field("candidates", candidates).field("scanned", scanned),
+                EventKind::CheckpointWritten {
+                    generation,
+                    bytes,
+                    write_us,
+                } => w
+                    .field("generation", generation)
+                    .field("bytes", bytes)
+                    .field("write_us", write_us),
+                EventKind::CheckpointRestored {
+                    generation,
+                    stratum,
+                    iteration,
+                } => w
+                    .field("generation", generation)
+                    .field("stratum", stratum)
+                    .field("iteration", iteration),
+                EventKind::CheckpointRecovery { generation, error } => {
+                    w.field("generation", generation).field("error", error)
                 }
-                out.push(']');
+                EventKind::WorkerPanic { worker, detail } => {
+                    w.field("worker", worker).field("detail", detail)
+                }
+                EventKind::WorkerRespawn { worker } => w.field("worker", worker),
+                EventKind::RequestShed {
+                    waited_us,
+                    retry_after_s,
+                } => w
+                    .field("waited_us", waited_us)
+                    .field("retry_after_s", retry_after_s),
+                EventKind::FactsIngested {
+                    seq,
+                    applied,
+                    duplicates,
+                    full_reeval,
+                } => w
+                    .field("seq", seq)
+                    .field("applied", applied)
+                    .field("duplicates", duplicates)
+                    .field("full_reeval", full_reeval),
+                EventKind::WalReplayed {
+                    records,
+                    truncated_bytes,
+                    last_seq,
+                } => w
+                    .field("records", records)
+                    .field("truncated_bytes", truncated_bytes)
+                    .field("last_seq", last_seq),
+                EventKind::Message { text } => w.field("text", text),
+            };
+            // Rendered last (and only when present) so every pre-existing
+            // golden encoding stays byte-identical.
+            if let Some(id) = &self.request_id {
+                w.field("request_id", &**id);
             }
-            EventKind::TupleSubsumed { pred, rule, tuple } => {
-                push_str_field(&mut out, "pred", pred);
-                let _ = write!(out, ",\"rule\":{rule}");
-                push_str_field(&mut out, "tuple", tuple);
-            }
-            EventKind::GovernorTrip { reason } => {
-                push_str_field(&mut out, "reason", reason);
-            }
-            EventKind::IndexLookup {
-                candidates,
-                scanned,
-            } => {
-                let _ = write!(out, ",\"candidates\":{candidates},\"scanned\":{scanned}");
-            }
-            EventKind::CheckpointWritten {
-                generation,
-                bytes,
-                write_us,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"generation\":{generation},\"bytes\":{bytes},\"write_us\":{write_us}"
-                );
-            }
-            EventKind::CheckpointRestored {
-                generation,
-                stratum,
-                iteration,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"generation\":{generation},\"stratum\":{stratum},\"iteration\":{iteration}"
-                );
-            }
-            EventKind::CheckpointRecovery { generation, error } => {
-                let _ = write!(out, ",\"generation\":{generation}");
-                push_str_field(&mut out, "error", error);
-            }
-            EventKind::WorkerPanic { worker, detail } => {
-                let _ = write!(out, ",\"worker\":{worker}");
-                push_str_field(&mut out, "detail", detail);
-            }
-            EventKind::WorkerRespawn { worker } => {
-                let _ = write!(out, ",\"worker\":{worker}");
-            }
-            EventKind::RequestShed {
-                waited_us,
-                retry_after_s,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"waited_us\":{waited_us},\"retry_after_s\":{retry_after_s}"
-                );
-            }
-            EventKind::FactsIngested {
-                seq,
-                applied,
-                duplicates,
-                full_reeval,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"seq\":{seq},\"applied\":{applied},\"duplicates\":{duplicates},\"full_reeval\":{full_reeval}"
-                );
-            }
-            EventKind::WalReplayed {
-                records,
-                truncated_bytes,
-                last_seq,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"records\":{records},\"truncated_bytes\":{truncated_bytes},\"last_seq\":{last_seq}"
-                );
-            }
-            EventKind::Message { text } => {
-                push_str_field(&mut out, "text", text);
-            }
-        }
-        // Rendered last (and only when present) so every pre-existing
-        // golden encoding stays byte-identical.
-        if let Some(id) = &self.request_id {
-            push_str_field(&mut out, "request_id", id);
-        }
-        out.push('}');
-        out
+        });
     }
 }
 
@@ -380,13 +326,6 @@ impl EventKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escaping_covers_quotes_backslashes_and_controls() {
-        let mut out = String::new();
-        escape_json("a\"b\\c\nd\te\u{1}", &mut out);
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001");
-    }
 
     #[test]
     fn checkpoint_events_render_stably() {

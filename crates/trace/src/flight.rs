@@ -15,6 +15,7 @@
 //! Rings whose threads have exited are pruned lazily.
 
 use crate::event::Event;
+use crate::json::{ToJson, Writer};
 use crate::sink::Sink;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,24 +90,14 @@ pub struct ThreadFlight {
     pub events: Vec<Event>,
 }
 
-impl ThreadFlight {
-    /// Renders this thread's window as one JSON object:
-    /// `{"thread":…,"dropped":N,"events":[…]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.events.len() * 96);
-        out.push_str("{\"thread\":\"");
-        crate::event::escape_json(&self.thread, &mut out);
-        out.push_str("\",\"dropped\":");
-        out.push_str(&self.dropped.to_string());
-        out.push_str(",\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json());
-        }
-        out.push_str("]}");
-        out
+/// Renders as `{"thread":…,"dropped":N,"events":[…]}`.
+impl ToJson for ThreadFlight {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("thread", &self.thread)
+                .field("dropped", self.dropped)
+                .field("events", &self.events);
+        });
     }
 }
 
@@ -251,7 +242,7 @@ mod tests {
             }],
         };
         assert_eq!(
-            tf.to_json(),
+            crate::json::render(&tf),
             "{\"thread\":\"w\\\"0\",\"dropped\":7,\
              \"events\":[{\"event\":\"message\",\"t_us\":3,\"text\":\"x\"}]}"
         );

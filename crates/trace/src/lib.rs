@@ -19,8 +19,9 @@
 //! * **Metrics** ([`prom`]) — a small Prometheus text exposition-format
 //!   builder (names validated, label values escaped) used to render
 //!   evaluation statistics and span timings as `.prom` files;
-//! * **JSON** ([`json`]) — a minimal parser used by golden tests and CI
-//!   to validate the JSONL event stream without external crates;
+//! * **JSON** ([`json`]) — the workspace's one JSON writer (every
+//!   emitted document goes through it) and a depth-capped parser used by
+//!   golden tests, CI and `POST /facts`, without external crates;
 //! * **Request context** ([`context`]) — a thread-local request id
 //!   stamped onto every emitted event, so a multiplexed stream can be
 //!   filtered down to one request after the fact;
